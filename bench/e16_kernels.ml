@@ -1,14 +1,14 @@
-(* E16 — kernel engine: boxed seed loops vs the Bigarray backend, micro
-   (ns/mac on BERT-shaped matmuls) and end-to-end (functional simulation of
-   a bert-large encoder block), with a jobs sweep over the parallel
-   functional simulator. Every row checks the determinism contract: the
-   Bigarray result must be bitwise identical to the boxed serial seed
-   (exactly equal int8 accumulators on the quantized path), at every job
-   count. The speedup column is machine-dependent — the jobs sweep only
-   pays off with spare cores — so CI asserts identity, not the ratio. *)
+(* E16 — kernel engine: the boxed seed loops (the test oracle) vs the
+   runtime Bigarray kernels, micro (ns/mac on BERT-shaped matmuls), and a
+   jobs sweep over the parallel functional simulation of a bert-large
+   encoder block. Every row checks the determinism contract: the runtime
+   kernels must be bitwise identical to the oracle (exactly equal int8
+   accumulators on the quantized path), and the simulation digest at every
+   job count must equal the jobs=1 digest. The speedup column is
+   machine-dependent — the jobs sweep only pays off with spare cores — so
+   CI asserts identity, not the ratio. *)
 
 open Common
-module Kernels = Cim_tensor.Kernels
 module Tensor = Cim_tensor.Tensor
 module Shape = Cim_tensor.Shape
 module Quant = Cim_tensor.Quant
@@ -16,6 +16,7 @@ module Ops = Cim_tensor.Ops
 module Graph = Cim_nnir.Graph
 module Functional = Cim_sim.Functional
 module Rng = Cim_util.Rng
+module Oracle = Cim_oracle.Oracle
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -34,7 +35,7 @@ let best n f =
   (Option.get !r, !t)
 
 let run () =
-  section "E16 | kernel engine: boxed vs Bigarray + parallel functional sim";
+  section "E16 | kernel engine: boxed oracle vs Bigarray + parallel functional sim";
   (* --- micro: BERT-large projection and FFN matmul shapes --- *)
   let tbl =
     Table.create ~title:"matmul kernels (min of 3, seq=64)"
@@ -49,8 +50,8 @@ let run () =
       let a = Tensor.rand rng (Shape.of_list [ m; k ]) ~lo:(-1.) ~hi:1. in
       let b = Tensor.rand rng (Shape.of_list [ k; n ]) ~lo:(-1.) ~hi:1. in
       let macs = float_of_int (m * k * n) in
-      let fbox, tb = best 3 (fun () -> Kernels.with_backend Kernels.Boxed (fun () -> Ops.matmul a b)) in
-      let fbig, tg = best 3 (fun () -> Kernels.with_backend Kernels.Bigarray (fun () -> Ops.matmul a b)) in
+      let fbox, tb = best 3 (fun () -> Oracle.matmul a b) in
+      let fbig, tg = best 3 (fun () -> Ops.matmul a b) in
       let identical = Tensor.data fbox = Tensor.data fbig in
       Table.add_row tbl
         [ "float64"; Printf.sprintf "%dx%dx%d" m k n;
@@ -59,8 +60,8 @@ let run () =
           Table.cell_speedup (tb /. tg);
           (if identical then "yes" else "NO") ];
       let qa = Quant.quantize a and qb = Quant.quantize b in
-      let qbox, tb = best 3 (fun () -> Kernels.with_backend Kernels.Boxed (fun () -> Quant.matmul qa qb)) in
-      let qbig, tg = best 3 (fun () -> Kernels.with_backend Kernels.Bigarray (fun () -> Quant.matmul qa qb)) in
+      let qbox, tb = best 3 (fun () -> Oracle.qmatmul qa qb) in
+      let qbig, tg = best 3 (fun () -> Quant.matmul qa qb) in
       let identical = qbox.Quant.values = qbig.Quant.values in
       Table.add_row tbl
         [ "int8"; Printf.sprintf "%dx%dx%d" m k n;
@@ -82,36 +83,34 @@ let run () =
       (fun (n, sh) -> (n, Tensor.rand rng sh ~lo:(-1.) ~hi:1.))
       g.Graph.graph_inputs
   in
-  let sim ~backend ~jobs () =
-    Functional.run chip ~jobs ~backend g r.Cmswitch.program ~inputs
-  in
+  let sim ~jobs () = Functional.run chip ~jobs g r.Cmswitch.program ~inputs in
   let tbl =
     Table.create
       ~title:"functional sim, bert-large block (prefill batch=1 seq=64)"
-      [ ("backend", Table.Left); ("jobs", Table.Right);
-        ("cold (s)", Table.Right); ("warm (s)", Table.Right);
-        ("speedup", Table.Right); ("identical", Table.Left) ]
+      [ ("jobs", Table.Right); ("cold (s)", Table.Right);
+        ("warm (s)", Table.Right); ("speedup", Table.Right);
+        ("identical", Table.Left) ]
   in
-  let rep0, t0_cold = time (sim ~backend:Kernels.Boxed ~jobs:1) in
-  let _, t0_warm = best 2 (sim ~backend:Kernels.Boxed ~jobs:1) in
-  let d0 = Functional.digest rep0 in
+  let rep1, t1_cold = time (sim ~jobs:1) in
+  let _, t1_warm = best 2 (sim ~jobs:1) in
+  let d1 = Functional.digest rep1 in
   Table.add_row tbl
-    [ "boxed (seed)"; "1"; Table.cell_f ~digits:3 t0_cold;
-      Table.cell_f ~digits:3 t0_warm; Table.cell_speedup 1.0; "yes" ];
+    [ "1"; Table.cell_f ~digits:3 t1_cold; Table.cell_f ~digits:3 t1_warm;
+      Table.cell_speedup 1.0; "yes" ];
   List.iter
     (fun jobs ->
-      let rep, t_cold = time (sim ~backend:Kernels.Bigarray ~jobs) in
-      let _, t_warm = best 2 (sim ~backend:Kernels.Bigarray ~jobs) in
-      let identical = Functional.digest rep = d0 in
+      let rep, t_cold = time (sim ~jobs) in
+      let _, t_warm = best 2 (sim ~jobs) in
+      let identical = Functional.digest rep = d1 in
       Table.add_row tbl
-        [ "bigarray"; string_of_int jobs; Table.cell_f ~digits:3 t_cold;
+        [ string_of_int jobs; Table.cell_f ~digits:3 t_cold;
           Table.cell_f ~digits:3 t_warm;
-          Table.cell_speedup (t0_warm /. t_warm);
+          Table.cell_speedup (t1_warm /. t_warm);
           (if identical then "yes" else "NO") ])
-    [ 1; 2; 4 ];
+    [ 2; 4 ];
   Table.print tbl;
   print_endline
-    "speedup is vs the boxed serial seed (warm/warm); identical = the\n\
-     functional-sim digest (outputs + stats) matches the seed's, byte for\n\
-     byte - required at every backend and job count. jobs only pay off\n\
-     with spare cores; the kernel win is core-count independent"
+    "speedup is vs jobs=1 (warm/warm); identical = the functional-sim\n\
+     digest (outputs + stats) matches the jobs=1 digest, byte for byte -\n\
+     required at every job count. jobs only pay off with spare cores; the\n\
+     kernel win in the micro table is core-count independent"

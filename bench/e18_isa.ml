@@ -1,11 +1,12 @@
 (* E18 — lowered MMIO command-stream backend: flatten compiled meta-operator
    programs onto the ISA (command FIFO words + DMA descriptors), measure the
-   encoded stream, and differentially test the machine-level ISA simulator
-   against the meta-op functional simulator. Every differential row checks
-   the digest contract: the flat-PC interpreter must produce exactly the
-   functional simulator's report digest (outputs + instruction and switch
-   counters), at jobs 1 and 4. The wall-clock columns are machine-dependent
-   and reported only; CI asserts the identical and round-trip columns. *)
+   encoded stream, and run the stream through the simulator's stream entry
+   (Functional.run_isa) against the meta-op program it was lowered from.
+   Every differential row checks the digest contract: the stream must
+   produce exactly the program's report digest (outputs + instruction and
+   switch counters), at jobs 1 and 4. The wall-clock columns are
+   machine-dependent and reported only; CI asserts the identical and
+   round-trip columns. *)
 
 open Common
 module Graph = Cim_nnir.Graph
@@ -13,7 +14,6 @@ module Tensor = Cim_tensor.Tensor
 module Flow = Cim_metaop.Flow
 module Isa = Cim_metaop.Isa
 module Functional = Cim_sim.Functional
-module Isa_sim = Cim_sim.Isa_sim
 module Rng = Cim_util.Rng
 
 let time f =
@@ -22,7 +22,7 @@ let time f =
   (r, Unix.gettimeofday () -. t0)
 
 let run () =
-  section "E18 | MMIO command-stream ISA: lowering + machine-level simulator";
+  section "E18 | MMIO command-stream ISA: lowering + stream simulation";
   let chip = Config.dynaplasia in
   let models =
     [ ("resnet18", "whole network");
@@ -72,9 +72,9 @@ let run () =
       compiled
   in
   Table.print tbl;
-  (* --- the differential: machine-level sim vs the meta-op functional sim --- *)
+  (* --- the differential: the stream entry vs the meta-op program --- *)
   let tbl =
-    Table.create ~title:"machine-level ISA sim vs meta-op functional sim"
+    Table.create ~title:"machine-level ISA sim (stream entry) vs meta-op functional sim"
       [ ("model", Table.Left); ("simulator", Table.Left);
         ("jobs", Table.Right); ("time (s)", Table.Right);
         ("identical", Table.Left) ]
@@ -98,19 +98,19 @@ let run () =
       List.iter
         (fun jobs ->
           let rep, t =
-            time (fun () -> Isa_sim.run chip ~jobs g img ~inputs)
+            time (fun () -> Functional.run_isa chip ~jobs g img ~inputs)
           in
           let identical = Functional.digest rep = d0 in
           Table.add_row tbl
-            [ key; "ISA machine-level"; string_of_int jobs;
+            [ key; "ISA command stream"; string_of_int jobs;
               Table.cell_f ~digits:3 t;
               (if identical then "yes" else "NO") ])
         [ 1; 4 ])
     images;
   Table.print tbl;
   print_endline
-    "identical = the ISA interpreter's report digest (outputs + compute /\n\
+    "identical = the command stream's report digest (outputs + compute /\n\
      vector instruction counts + per-array switch counters) matches the\n\
-     meta-op functional simulator's, byte for byte - required at every job\n\
-     count. round trip = decode(encode(img)) = img and raising the flat\n\
-     stream back to a Flow program reproduces the compiler's bytes"
+     meta-op program's, byte for byte - required at every job count.\n\
+     round trip = decode(encode(img)) = img and raising the flat stream\n\
+     back to a Flow program reproduces the compiler's bytes"

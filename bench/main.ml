@@ -20,9 +20,9 @@ let experiments =
     ("e13", "compilation cache: cold vs warm compile", E13_cache.run);
     ("e14", "fleet serving: load sweep with runtime faults", E14_fleet.run);
     ("e15", "telemetry overhead: fleet run with observability off/on", E15_telemetry.run);
-    ("e16", "kernel engine: boxed vs Bigarray + parallel functional sim", E16_kernels.run);
+    ("e16", "kernel engine: boxed oracle vs Bigarray + parallel functional sim", E16_kernels.run);
     ("e17", "dynamic shapes: bucketed + incremental decode-sweep compile", E17_dynshape.run);
-    ("e18", "MMIO command-stream ISA: lowering + machine-level simulator", E18_isa.run);
+    ("e18", "MMIO command-stream ISA: lowering + stream simulation", E18_isa.run);
     ("micro", "bechamel micro-benchmarks", Micro.run);
     ("solver", "per-MILP solver cost, revised vs dense backend", Micro.run_solver);
   ]

@@ -11,9 +11,9 @@
    cmswitch cache (stats|clear|verify) [--cache-dir DIR]
 
    The flags shared by compile / compare / serve / disasm (--jobs,
-   --tensor-backend, --buckets, --cache-dir, --no-cache, --trace,
-   --metrics, -v) are assembled from one [common_term] builder, so their
-   help text is identical on every subcommand. *)
+   --buckets, --cache-dir, --no-cache, --trace, --metrics, -v) are
+   assembled from one [common_term] builder, so their help text is
+   identical on every subcommand. *)
 
 open Cmdliner
 module Chip = Cim_arch.Chip
@@ -120,27 +120,6 @@ let jobs_arg =
                  Compilation output is byte-identical for every value; \
                  only wall-clock changes.")
 
-let tensor_backend_conv =
-  let parse s =
-    match Cim_tensor.Kernels.backend_of_string s with
-    | Ok b -> Ok b
-    | Error m -> Error (`Msg m)
-  in
-  Cmdliner.Arg.conv
-    ( parse,
-      fun ppf b ->
-        Format.pp_print_string ppf (Cim_tensor.Kernels.backend_to_string b) )
-
-let tensor_backend_arg =
-  Arg.(value & opt (some tensor_backend_conv) None
-       & info [ "tensor-backend" ] ~docv:"BACKEND"
-           ~doc:"Kernel engine for the simulators: $(b,bigarray) \
-                 (cache-blocked unsafe int8/float kernels) or $(b,boxed) \
-                 (the seed loops, kept as the differential oracle). Both \
-                 produce bitwise-identical tensors; only wall-clock \
-                 changes. Default: $(b,CMSWITCH_TENSOR_BACKEND), else \
-                 bigarray.")
-
 let sim_check_arg =
   Arg.(value & flag
        & info [ "sim-check" ]
@@ -148,7 +127,7 @@ let sim_check_arg =
                  seeded random weights/inputs and print its byte-identity \
                  digest ($(b,functional_md5=)...) and max abs/rel error \
                  against the float reference. The digest is invariant \
-                 across $(b,--jobs) and $(b,--tensor-backend).")
+                 across $(b,--jobs).")
 
 let buckets_conv =
   let parse s =
@@ -194,7 +173,7 @@ let store_for ~cache_dir ~no_cache =
     | Some d, _ | None, Some d -> Some (Store.open_dir d)
     | None, None -> None
 
-let config_for ?tensor_backend ?buckets ~jobs ~store () =
+let config_for ?buckets ~jobs ~store () =
   let cfg = Cmswitch.Config.default in
   let cfg =
     match jobs with None -> cfg | Some j -> Cmswitch.Config.with_jobs j cfg
@@ -203,15 +182,6 @@ let config_for ?tensor_backend ?buckets ~jobs ~store () =
     match buckets with
     | None -> cfg
     | Some b -> Cmswitch.Config.with_buckets (Some b) cfg
-  in
-  let cfg =
-    match tensor_backend with
-    | None -> cfg
-    | Some b ->
-      (* the knob steers every kernel in this process, not just calls that
-         thread the config through *)
-      Cim_tensor.Kernels.set_backend b;
-      Cmswitch.Config.with_tensor_backend b cfg
   in
   Cmswitch.Config.with_cache store cfg
 
@@ -298,7 +268,6 @@ let setup_logs verbose =
    subcommand needs only [cache_dir_arg], which it reuses directly. *)
 type common = {
   jobs : int option;
-  tensor_backend : Cim_tensor.Kernels.backend option;
   buckets : Bucket.t option;
   cache_dir : string option;
   no_cache : bool;
@@ -308,14 +277,11 @@ type common = {
 }
 
 let common_term =
-  let make jobs tensor_backend buckets cache_dir no_cache verbose trace
-      metrics =
-    { jobs; tensor_backend; buckets; cache_dir; no_cache; verbose; trace;
-      metrics }
+  let make jobs buckets cache_dir no_cache verbose trace metrics =
+    { jobs; buckets; cache_dir; no_cache; verbose; trace; metrics }
   in
-  Term.(const make $ jobs_arg $ tensor_backend_arg $ buckets_arg
-        $ cache_dir_arg $ no_cache_arg $ verbose_arg $ trace_arg
-        $ metrics_arg)
+  Term.(const make $ jobs_arg $ buckets_arg $ cache_dir_arg $ no_cache_arg
+        $ verbose_arg $ trace_arg $ metrics_arg)
 
 (* logging + observability + cache store in one go; [?metrics_on] lets
    serve imply metric recording while a telemetry collector is active *)
@@ -326,8 +292,7 @@ let setup_common ?metrics_on c =
   store_for ~cache_dir:c.cache_dir ~no_cache:c.no_cache
 
 let config_of_common c ~store =
-  config_for ?tensor_backend:c.tensor_backend ?buckets:c.buckets ~jobs:c.jobs
-    ~store ()
+  config_for ?buckets:c.buckets ~jobs:c.jobs ~store ()
 
 let finish_common c ~store =
   report_cache_counters store;
@@ -503,8 +468,8 @@ let do_compile chip key batch seq kv emit sim sim_check report fault_rate
       if sim then Format.printf "%a@." Cim_sim.Timing.pp t
     end;
     if sim_check then begin
-      (* seeded weights + inputs, so the digest is comparable across runs,
-         job counts and backends (the byte-identity CI check) *)
+      (* seeded weights + inputs, so the digest is comparable across runs
+         and job counts (the byte-identity CI check) *)
       let rng = Cim_util.Rng.create 42 in
       let g = Cim_nnir.Graph.with_random_values rng r.Cmswitch.graph in
       let inputs =
@@ -706,9 +671,7 @@ let do_serve chip key batch seq kv chips requests mean_gap burst slo
   let w = workload_of e ~batch ~seq ~kv in
   (* buckets stay out of the base config on purpose: only the bucketed
      healthy-path session below compiles under the policy *)
-  let base_cfg =
-    config_for ?tensor_backend:common.tensor_backend ~jobs:common.jobs ~store ()
-  in
+  let base_cfg = config_for ~jobs:common.jobs ~store () in
   (* the representative graph: one block for transformers (a pass costs
      n_layers block passes — the LM head is dropped from this estimate),
      the whole network for CNNs *)

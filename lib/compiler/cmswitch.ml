@@ -4,7 +4,6 @@ module Workload = Cim_models.Workload
 module Zoo = Cim_models.Zoo
 module B = Cim_nnir.Builder
 module Shape = Cim_tensor.Shape
-module Kernels = Cim_tensor.Kernels
 module Trace = Cim_obs.Trace
 module Metrics = Cim_obs.Metrics
 module J = Cim_obs.Json
@@ -24,7 +23,6 @@ module Config = struct
     refine : bool;
     force_all_compute : bool;
     lp_backend : Cim_solver.Milp.backend;
-    tensor_backend : Kernels.backend;
     buckets : Bucket.t option;
     faults : Faultmap.t option;
     cache : Store.t option;
@@ -40,7 +38,6 @@ module Config = struct
       refine = true;
       force_all_compute = false;
       lp_backend = Cim_solver.Milp.Revised;
-      tensor_backend = Kernels.default_backend ();
       buckets = None;
       faults = None;
       cache = None;
@@ -54,7 +51,6 @@ module Config = struct
   let with_refine v t = { t with refine = v }
   let with_force_all_compute v t = { t with force_all_compute = v }
   let with_lp_backend v t = { t with lp_backend = v }
-  let with_tensor_backend v t = { t with tensor_backend = v }
   let with_buckets v t = { t with buckets = v }
   let with_faults v t = { t with faults = v }
   let with_cache v t = { t with cache = v }
@@ -78,9 +74,8 @@ module Config = struct
     }
 
   (* The cache-key serialisation: every semantic field in fixed order,
-     floats as exact binary64 hex. Excluded by design: [jobs] and
-     [tensor_backend] (pure execution strategy under the byte-identical
-     determinism contract — both backends produce bit-equal tensors),
+     floats as exact binary64 hex. Excluded by design: [jobs] (pure
+     execution strategy under the byte-identical determinism contract),
      [faults] (a separate key component, see Ccache.prog_key) and [cache]
      (plumbing, not semantics). *)
   let canonical t =

@@ -39,10 +39,6 @@ module Config : sig
     refine : bool;                (** lexicographic array-count refinement *)
     force_all_compute : bool;     (** CIM-MLC restriction *)
     lp_backend : Cim_solver.Milp.backend;
-    tensor_backend : Cim_tensor.Kernels.backend;
-        (** kernel engine for simulation/verification downstream of this
-            compile; both backends are bitwise identical, so like [jobs]
-            it is {e excluded} from {!canonical} *)
     buckets : Bucket.t option;
         (** length-bucketing policy for {!compile_model} /
             {!session_step}: sequence workloads compile at their
@@ -68,7 +64,6 @@ module Config : sig
   val with_refine : bool -> t -> t
   val with_force_all_compute : bool -> t -> t
   val with_lp_backend : Cim_solver.Milp.backend -> t -> t
-  val with_tensor_backend : Cim_tensor.Kernels.backend -> t -> t
   val with_buckets : Bucket.t option -> t -> t
   val with_faults : Cim_arch.Faultmap.t option -> t -> t
   val with_cache : Cim_cache.Store.t option -> t -> t
@@ -85,8 +80,8 @@ module Config : sig
       — the compilation-cache key component. Floats are rendered as exact
       binary64 hex ([%h]), booleans and enums as fixed tokens, fields in
       fixed order, so the string is byte-stable across runs, processes and
-      platforms. [jobs] and [tensor_backend] (execution strategy under the
-      byte-identical determinism contract), [faults] (keyed separately, see
+      platforms. [jobs] (execution strategy under the byte-identical
+      determinism contract), [faults] (keyed separately, see
       {!Ccache.prog_key}) and [cache] (plumbing) are excluded. *)
 
   val of_canonical : string -> (t, string) result

@@ -287,7 +287,7 @@ let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
     switch_retries = Machine.switch_retries machine;
   }
 
-let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
+let run chip ?faults ?rng ?max_switch_retries ?jobs (g : Graph.t)
     (p : Flow.program) ~inputs =
   (* from inside a pool worker (e.g. a fleet prefetch task) degrade to
      serial instead of multiplying domains *)
@@ -295,12 +295,16 @@ let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
     if Pool.current_worker () <> None then 1
     else match jobs with Some j -> j | None -> Pool.default_jobs ()
   in
-  let backend = match backend with Some b -> b | None -> Kernels.backend () in
   Pool.with_pool ~name:"funcsim" ~jobs (fun pool ->
       Kernels.with_pool (Some pool) (fun () ->
-          Kernels.with_backend backend (fun () ->
-              run_with_pool pool chip ?faults ?rng ?max_switch_retries g p
-                ~inputs)))
+          run_with_pool pool chip ?faults ?rng ?max_switch_retries g p ~inputs))
+
+let run_isa chip ?faults ?rng ?max_switch_retries ?jobs g img ~inputs =
+  let p =
+    try Cim_metaop.Isa.to_flow img
+    with Invalid_argument m -> err "invalid command stream: %s" m
+  in
+  run chip ?faults ?rng ?max_switch_retries ?jobs g p ~inputs
 
 let digest r =
   let buf = Buffer.create 4096 in

@@ -25,7 +25,7 @@ exception Error of string
 
 val run :
   Cim_arch.Chip.t -> ?faults:Cim_arch.Faultmap.t -> ?rng:Cim_util.Rng.t ->
-  ?max_switch_retries:int -> ?jobs:int -> ?backend:Cim_tensor.Kernels.backend ->
+  ?max_switch_retries:int -> ?jobs:int ->
   Cim_nnir.Graph.t -> Cim_metaop.Flow.program ->
   inputs:(string * Cim_tensor.Tensor.t) list -> report
 (** Requires every initializer of the graph to carry values. Raises [Error]
@@ -37,20 +37,24 @@ val run :
     inside a pool worker) sizes the work pool the simulator runs on; each
     [Parallel] block's independent CIM nodes are pre-evaluated concurrently
     and the row-parallel {!Cim_tensor.Kernels} split large matmuls across
-    the same pool. [backend] (default {!Cim_tensor.Kernels.backend}) picks
-    the kernel engine for the run. Under the determinism contract the
-    report — outputs, errors, instruction counts, switch stats — is
-    byte-identical at any [jobs] and for either backend; {!digest} is the
-    cheap way to assert that. *)
+    the same pool. Under the determinism contract the report — outputs,
+    errors, instruction counts, switch stats — is byte-identical at any
+    [jobs]; {!digest} is the cheap way to assert that. *)
+
+val run_isa :
+  Cim_arch.Chip.t -> ?faults:Cim_arch.Faultmap.t -> ?rng:Cim_util.Rng.t ->
+  ?max_switch_retries:int -> ?jobs:int ->
+  Cim_nnir.Graph.t -> Cim_metaop.Isa.image ->
+  inputs:(string * Cim_tensor.Tensor.t) list -> report
+(** The stream entry: {!run} over a lowered MMIO command stream. The stream
+    is raised back with {!Cim_metaop.Isa.to_flow} — a 1:1 flattening, so
+    this is exactly [run] on the program the stream was lowered from — and
+    unbalanced or miscounted bracket markers raise [Error "invalid command
+    stream: ..."], never [Invalid_argument]. There is no second
+    command-stream interpreter: the tree walk is the one simulator. *)
 
 val digest : report -> string
 (** MD5 hex digest over the simulated output tensors (names + IEEE-754 bit
     patterns, so any numeric divergence changes it) and the instruction /
     switch counters. Golden-fixture material: equal digests mean the run
     was byte-identical. *)
-
-val quant_eval :
-  Cim_nnir.Graph.node -> Cim_tensor.Tensor.t list -> Cim_tensor.Tensor.t
-(** The int8 oracle for one CIM node (quantize -> int8 matmul/conv ->
-    dequantize), exactly as the compute arrays perform it. Shared with
-    {!Isa_sim} so both simulators model identical array arithmetic. *)

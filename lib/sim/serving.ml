@@ -101,15 +101,7 @@ let bucketed_profile ~ceiling ~prefill_cycles ~decode_cycles =
         look dmemo (fun ctx -> decode_cycles (ctx - 1)) (max 1 (kv_len + 1)));
   }
 
-type config = { deadline : float option }
-
-let default_config = { deadline = None }
-
-let run ?(config = default_config) ?deadline profile requests =
-  (* an explicit ?deadline wins over the config record *)
-  let deadline =
-    match deadline with Some _ -> deadline | None -> config.deadline
-  in
+let run ?deadline profile requests =
   (match deadline with
   | Some d when d <= 0. -> invalid_arg "Serving.run: deadline must be positive"
   | _ -> ());

@@ -38,18 +38,6 @@ val zero_stats : stats
 (** All-zero statistics: what an empty trace (or a trace whose every
     request was dropped) reports. *)
 
-(** Simulation knobs as one record, so new policies (batching windows,
-    admission variants) extend a field instead of growing [run]'s optional
-    argument list. *)
-type config = {
-  deadline : float option;
-      (** per-request completion deadline in cycles (admission control);
-          [None] admits everything *)
-}
-
-val default_config : config
-(** No deadline. *)
-
 val bucketed_profile :
   ceiling:(int -> int) ->
   prefill_cycles:(int -> float) ->
@@ -72,13 +60,11 @@ val interpolate : (int * float) list -> int -> float
     zero-width bracket, never NaN. An empty sample list yields the
     constant-zero profile. *)
 
-val run :
-  ?config:config -> ?deadline:float -> cost_profile -> request list -> stats
+val run : ?deadline:float -> cost_profile -> request list -> stats
 (** FCFS, no batching across requests: each request runs prefill then its
     decode steps with a growing KV length. An empty trace returns
-    {!zero_stats}. [config] carries the simulation knobs; the [deadline]
-    argument is the legacy spelling and, when given, overrides
-    [config.deadline]. With a deadline (cycles, must be positive), a request
+    {!zero_stats}. Without [deadline] every request is admitted. With a
+    per-request completion deadline (cycles, must be positive), a request
     whose predicted completion would exceed arrival + deadline is dropped
     on arrival — it does not occupy the chip, counts in [dropped], and is
     excluded from every latency/throughput statistic; this is the degraded-

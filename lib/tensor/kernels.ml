@@ -1,36 +1,10 @@
-(* Fast kernel engine. The correctness story lives in kernels.mli: both
-   backends are bitwise identical on every kernel, which the blocked loops
-   below guarantee by preserving the oracle's per-(i,j) ascending-p
-   accumulation order (float) or by integer exactness (int8). *)
+(* Fast kernel engine. The correctness story lives in kernels.mli: every
+   kernel is bitwise identical to the naive seed loop it replaced, which the
+   blocked loops below guarantee by preserving the oracle's per-(i,j)
+   ascending-p accumulation order (float) or by integer exactness (int8). *)
 
 module BA = Stdlib.Bigarray
 module Pool = Cim_util.Pool
-
-type backend = Boxed | Bigarray
-
-let backend_to_string = function Boxed -> "boxed" | Bigarray -> "bigarray"
-
-let backend_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "boxed" -> Ok Boxed
-  | "bigarray" -> Ok Bigarray
-  | _ ->
-    Error
-      (Printf.sprintf "unknown tensor backend %S (expected boxed or bigarray)" s)
-
-let default_backend () =
-  match Sys.getenv_opt "CMSWITCH_TENSOR_BACKEND" with
-  | None -> Bigarray
-  | Some s -> ( match backend_of_string s with Ok b -> b | Error _ -> Bigarray)
-
-let current : backend Atomic.t = Atomic.make (default_backend ())
-let backend () = Atomic.get current
-let set_backend b = Atomic.set current b
-
-let with_backend b f =
-  let prev = Atomic.get current in
-  Atomic.set current b;
-  Fun.protect ~finally:(fun () -> Atomic.set current prev) f
 
 let pool_slot : Pool.t option Atomic.t = Atomic.make None
 let set_pool p = Atomic.set pool_slot p

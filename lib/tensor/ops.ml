@@ -1,41 +1,20 @@
-(* The 2-d float kernel, oracle form: safe accesses, naive loop order. The
-   fast backend (Kernels.matmul2d) must match it bitwise — see kernels.mli
-   for why the blocked loops preserve this exact accumulation order. *)
-let matmul2d_boxed da aoff db boff ~m ~k ~n =
-  let out = Array.make (m * n) 0. in
-  for i = 0 to m - 1 do
-    for p = 0 to k - 1 do
-      let av = da.(aoff + (i * k) + p) in
-      if av <> 0. then
-        for j = 0 to n - 1 do
-          out.((i * n) + j) <- out.((i * n) + j) +. (av *. db.(boff + (p * n) + j))
-        done
-    done
-  done;
-  out
-
-let matmul2d da aoff db boff ~m ~k ~n =
-  match Kernels.backend () with
-  | Kernels.Boxed -> matmul2d_boxed da aoff db boff ~m ~k ~n
-  | Kernels.Bigarray -> Kernels.matmul2d da aoff db boff ~m ~k ~n
-
 let matmul a b =
   let da = Tensor.data a and db = Tensor.data b in
   match (Tensor.shape a, Tensor.shape b) with
   | [ m; k ], [ k'; n ] when k = k' ->
-    Tensor.create (Shape.of_list [ m; n ]) (matmul2d da 0 db 0 ~m ~k ~n)
+    Tensor.create (Shape.of_list [ m; n ]) (Kernels.matmul2d da 0 db 0 ~m ~k ~n)
   | [ bdim; m; k ], [ k'; n ] when k = k' ->
     (* batch slices are indexed with offsets, not copied per iteration *)
     let out = Tensor.zeros (Shape.of_list [ bdim; m; n ]) in
     for bi = 0 to bdim - 1 do
-      let r = matmul2d da (bi * m * k) db 0 ~m ~k ~n in
+      let r = Kernels.matmul2d da (bi * m * k) db 0 ~m ~k ~n in
       Array.blit r 0 (Tensor.data out) (bi * m * n) (m * n)
     done;
     out
   | [ bdim; m; k ], [ bdim'; k'; n ] when k = k' && bdim = bdim' ->
     let out = Tensor.zeros (Shape.of_list [ bdim; m; n ]) in
     for bi = 0 to bdim - 1 do
-      let r = matmul2d da (bi * m * k) db (bi * k * n) ~m ~k ~n in
+      let r = Kernels.matmul2d da (bi * m * k) db (bi * k * n) ~m ~k ~n in
       Array.blit r 0 (Tensor.data out) (bi * m * n) (m * n)
     done;
     out
@@ -138,30 +117,6 @@ let permute t perm =
 
 let out_dim h k stride pad = ((h + (2 * pad) - k) / stride) + 1
 
-let im2col_boxed src ~n ~c ~h ~w ~kh ~kw ~stride ~pad ~oh ~ow ~dst =
-  let cols = c * kh * kw in
-  let row = ref 0 in
-  for ni = 0 to n - 1 do
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        let base = !row * cols in
-        for ci = 0 to c - 1 do
-          for ky = 0 to kh - 1 do
-            for kx = 0 to kw - 1 do
-              let iy = (oy * stride) + ky - pad and ix = (ox * stride) + kx - pad in
-              let v =
-                if iy < 0 || iy >= h || ix < 0 || ix >= w then 0.
-                else src.((((ni * c) + ci) * h * w) + (iy * w) + ix)
-              in
-              dst.(base + (ci * kh * kw) + (ky * kw) + kx) <- v
-            done
-          done
-        done;
-        incr row
-      done
-    done
-  done
-
 let im2col t ~kh ~kw ~stride ~pad =
   match Tensor.shape t with
   | [ n; c; h; w ] ->
@@ -169,19 +124,16 @@ let im2col t ~kh ~kw ~stride ~pad =
     let cols = c * kh * kw in
     let out = Tensor.zeros (Shape.of_list [ n * oh * ow; cols ]) in
     let src = Tensor.data t and dst = Tensor.data out in
-    (match Kernels.backend () with
-    | Kernels.Boxed -> im2col_boxed src ~n ~c ~h ~w ~kh ~kw ~stride ~pad ~oh ~ow ~dst
-    | Kernels.Bigarray ->
-      for ni = 0 to n - 1 do
-        Kernels.im2col src (ni * c * h * w) ~c ~h ~w ~kh ~kw ~stride ~pad ~oh ~ow
-          ~dst ~dst_row0:(ni * oh * ow)
-      done);
+    for ni = 0 to n - 1 do
+      Kernels.im2col src (ni * c * h * w) ~c ~h ~w ~kh ~kw ~stride ~pad ~oh ~ow
+        ~dst ~dst_row0:(ni * oh * ow)
+    done;
     out
   | s -> invalid_arg ("Ops.im2col: expected NCHW, got " ^ Shape.to_string s)
 
 (* The group slicing / weight gather / scatter around the matmul is pure
-   data movement, so both backends share these blit-based loops (the old
-   Tensor.init list-index walks dominated small convolutions). *)
+   data movement: blit-based loops (the old Tensor.init list-index walks
+   dominated small convolutions). *)
 let conv2d_with ~matmul:mm t ~weight ?bias ~stride ~pad ?(groups = 1) () =
   match (Tensor.shape t, Tensor.shape weight) with
   | [ n; c; h; w ], [ oc; cg; kh; kw ] when c = cg * groups && oc mod groups = 0 ->

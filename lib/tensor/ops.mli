@@ -3,11 +3,9 @@
     executor must match these up to quantisation error.
 
     The hot kernels (matmul, im2col and the conv2d lowering built on them)
-    dispatch on {!Kernels.backend}: the default [Bigarray] backend runs the
-    cache-blocked unsafe loops of {!Kernels}, while [Boxed] keeps the seed
-    loops in this module as the differential oracle. Both return bitwise
-    identical tensors for every input (see kernels.mli for the contract);
-    [test/t_kernels.ml] checks it exhaustively. *)
+    run the cache-blocked loops of {!Kernels}, bitwise identical to the
+    naive seed loops kept as the test oracle (see kernels.mli for the
+    contract); [test/t_kernels.ml] checks it exhaustively. *)
 
 val matmul : Tensor.t -> Tensor.t -> Tensor.t
 (** [m;k] x [k;n] -> [m;n]; also accepts a leading batch dim on the left

@@ -3,21 +3,11 @@ type qtensor = { values : int array; scale : float; shape : Shape.t }
 let clamp_i8 = Kernels.clamp_i8
 
 let quantize t =
-  match Kernels.backend () with
-  | Kernels.Boxed ->
-    (* oracle form, kept verbatim from the seed *)
-    let max_abs = Tensor.fold (fun acc x -> Float.max acc (Float.abs x)) 0. t in
-    let scale = if max_abs = 0. then 1. else max_abs /. 127. in
-    let values =
-      Array.map (fun x -> clamp_i8 (int_of_float (Float.round (x /. scale)))) (Tensor.data t)
-    in
-    { values; scale; shape = Tensor.shape t }
-  | Kernels.Bigarray ->
-    let max_abs = Kernels.max_abs (Tensor.data t) in
-    let scale = if max_abs = 0. then 1. else max_abs /. 127. in
-    { values = Kernels.quantize_values (Tensor.data t) ~scale;
-      scale;
-      shape = Tensor.shape t }
+  let max_abs = Kernels.max_abs (Tensor.data t) in
+  let scale = if max_abs = 0. then 1. else max_abs /. 127. in
+  { values = Kernels.quantize_values (Tensor.data t) ~scale;
+    scale;
+    shape = Tensor.shape t }
 
 let dequantize q =
   Tensor.create q.shape (Array.map (fun v -> float_of_int v *. q.scale) q.values)
@@ -25,51 +15,18 @@ let dequantize q =
 let requantize acc shape ~in_scale =
   if not (in_scale > 0.) then
     invalid_arg "Quant.requantize: in_scale must be positive";
-  let max_abs =
-    match Kernels.backend () with
-    | Kernels.Boxed -> Array.fold_left (fun m v -> max m (abs v)) 0 acc
-    | Kernels.Bigarray -> Kernels.max_abs_int acc
-  in
+  let max_abs = Kernels.max_abs_int acc in
   if max_abs = 0 then { values = Array.map (fun _ -> 0) acc; scale = 1.; shape }
   else begin
     (* Choose the output scale so the widest accumulator maps to 127. *)
     let scale = in_scale *. float_of_int max_abs /. 127. in
-    let values =
-      match Kernels.backend () with
-      | Kernels.Boxed ->
-        Array.map
-          (fun v ->
-            clamp_i8 (int_of_float (Float.round (float_of_int v *. in_scale /. scale))))
-          acc
-      | Kernels.Bigarray -> Kernels.requantize_values acc ~in_scale ~scale
-    in
-    { values; scale; shape }
+    { values = Kernels.requantize_values acc ~in_scale ~scale; scale; shape }
   end
-
-(* Oracle int8 matmul: native-int accumulation (wide — never wraps for any
-   in-range operands), ascending-p order. Kernels.qmatmul2d matches it
-   exactly by integer associativity. *)
-let qmatmul2d_boxed av bv ~m ~k ~n =
-  let acc = Array.make (m * n) 0 in
-  for i = 0 to m - 1 do
-    for p = 0 to k - 1 do
-      let a = av.((i * k) + p) in
-      if a <> 0 then
-        for j = 0 to n - 1 do
-          acc.((i * n) + j) <- acc.((i * n) + j) + (a * bv.((p * n) + j))
-        done
-    done
-  done;
-  acc
 
 let matmul a b =
   match (a.shape, b.shape) with
   | [ m; k ], [ k'; n ] when k = k' ->
-    let acc =
-      match Kernels.backend () with
-      | Kernels.Boxed -> qmatmul2d_boxed a.values b.values ~m ~k ~n
-      | Kernels.Bigarray -> Kernels.qmatmul2d a.values b.values ~m ~k ~n
-    in
+    let acc = Kernels.qmatmul2d a.values b.values ~m ~k ~n in
     requantize acc (Shape.of_list [ m; n ]) ~in_scale:(a.scale *. b.scale)
   | _ -> invalid_arg "Quant.matmul: expects [m;k] x [k;n]"
 

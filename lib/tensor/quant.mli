@@ -25,10 +25,9 @@ val requantize : int array -> Shape.t -> in_scale:float -> qtensor
 
 val matmul : qtensor -> qtensor -> qtensor
 (** [matmul a b] for a:[m;k] b:[k;n] (2-d only), wide accumulation then
-    requantisation — the arithmetic a CIM compute array performs. Dispatches
-    on {!Kernels.backend} ([Bigarray] packs operands into int8 Bigarrays and
-    runs blocked loops); both backends produce identical values bit for bit
-    because integer accumulation is exact. *)
+    requantisation — the arithmetic a CIM compute array performs, on the
+    blocked {!Kernels.qmatmul2d}; exactly the naive loop's values because
+    integer accumulation is exact. *)
 
 val quant_error : Tensor.t -> float
 (** Max |x - dequant(quant(x))| — used by property tests to bound the

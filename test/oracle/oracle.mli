@@ -1,0 +1,31 @@
+(** The naive seed kernels, kept as the differential oracle for
+    {!Cim_tensor.Kernels}: safe accesses, textbook loop order. The runtime
+    {!Cim_tensor.Ops} and {!Cim_tensor.Quant} must reproduce every result
+    here bit for bit (identical float bits, exactly equal int8 values and
+    scales). Test-only: nothing under [lib/] links this library. *)
+
+open Cim_tensor
+
+val matmul : Tensor.t -> Tensor.t -> Tensor.t
+(** {!Ops.matmul}'s three layouts ([m;k]x[k;n], [b;m;k]x[k;n],
+    [b;m;k]x[b;k;n]): ascending-[p] accumulation per output element,
+    skipping zero left-operand values. *)
+
+val im2col : Tensor.t -> kh:int -> kw:int -> stride:int -> pad:int -> Tensor.t
+
+val conv2d :
+  Tensor.t -> weight:Tensor.t -> bias:Tensor.t option -> stride:int ->
+  pad:int -> groups:int -> Tensor.t
+(** Direct convolution in the im2col + matmul accumulation order: for each
+    output element, taps in ascending [(ci, ky, kx)] order, zero (and
+    padding) inputs skipped, bias added last — so it must equal
+    {!Ops.conv2d} bitwise without sharing any of its lowering. *)
+
+val quantize : Tensor.t -> Quant.qtensor
+val requantize : int array -> Shape.t -> in_scale:float -> Quant.qtensor
+
+val qmatmul2d_boxed : int array -> int array -> m:int -> k:int -> n:int -> int array
+(** Wide native-int accumulators, ascending-[p] order. *)
+
+val qmatmul : Quant.qtensor -> Quant.qtensor -> Quant.qtensor
+(** {!Quant.matmul} over {!qmatmul2d_boxed} and {!requantize}. *)

@@ -273,7 +273,7 @@ let test_serving_idle_gap () =
   Alcotest.(check (float 1e-9)) "idle respected" 110. s.Serving.makespan;
   Alcotest.(check (float 1e-9)) "latencies unqueued" 10. s.Serving.mean_latency
 
-let test_serving_config_record () =
+let test_serving_deadline_admission () =
   let profile =
     { Serving.prefill_cycles = (fun _ -> 10.); decode_cycles = (fun _ -> 1.) }
   in
@@ -281,20 +281,10 @@ let test_serving_config_record () =
     [ { Serving.arrival = 0.; prompt = 4; output = 5 };
       { Serving.arrival = 0.; prompt = 4; output = 5 } ]
   in
-  (* default_config = no deadline: identical to the bare run *)
-  let bare = Serving.run profile trace in
-  let dflt = Serving.run ~config:Serving.default_config profile trace in
-  Alcotest.(check bool) "default config = no config" true (bare = dflt);
-  (* config deadline drops the queued request (latency 30 > 20) *)
-  let tight = Serving.run ~config:{ Serving.deadline = Some 20. } profile trace in
-  Alcotest.(check int) "config deadline admits first" 1 tight.Serving.completed;
-  Alcotest.(check int) "config deadline drops second" 1 tight.Serving.dropped;
-  (* the legacy ?deadline argument overrides the config record *)
-  let relaxed =
-    Serving.run ~config:{ Serving.deadline = Some 20. } ~deadline:1000. profile
-      trace
-  in
-  Alcotest.(check int) "?deadline wins over config" 2 relaxed.Serving.completed
+  (* the deadline drops the queued request (latency 30 > 20) *)
+  let tight = Serving.run ~deadline:20. profile trace in
+  Alcotest.(check int) "deadline admits first" 1 tight.Serving.completed;
+  Alcotest.(check int) "deadline drops second" 1 tight.Serving.dropped
 
 (* The nearest-rank percentile must use exact rank arithmetic: with the
    naive (p /. 100.) *. n form, 0.95 * 20 evaluates to 19.000000000000004,
@@ -341,7 +331,7 @@ let suite =
       Alcotest.test_case "serving FCFS accounting" `Quick test_serving_fcfs;
       Alcotest.test_case "serving idle gaps" `Quick test_serving_idle_gap;
       Alcotest.test_case "poisson trace" `Quick test_poisson_trace;
-      Alcotest.test_case "serving config record" `Quick test_serving_config_record;
+      Alcotest.test_case "serving deadline admission" `Quick test_serving_deadline_admission;
       Alcotest.test_case "p95 nearest-rank boundary" `Quick
         test_p95_nearest_rank_boundary;
       prop_p95_nearest_rank;

@@ -1,17 +1,18 @@
 (* Differential tests for the Bigarray kernel engine: the boxed seed loops
-   in Ops/Quant are the oracle, and the fast backend must reproduce them
-   bit for bit — exact integer equality on the quantized path, identical
-   float bits on the float path (the determinism contract in kernels.mli).
-   Also covers the batched-matmul offset indexing, the quantisation
-   rounding/clamp edges, and the functional simulator's byte-identity
-   across backends and job counts (in-process and against a golden
-   fixture; refresh with CMSWITCH_UPDATE_GOLDEN=1 dune runtest). *)
+   in the test-only Cim_oracle are the oracle, and the runtime Ops/Quant
+   must reproduce them bit for bit — exact integer equality on the
+   quantized path, identical float bits on the float path (the determinism
+   contract in kernels.mli). Also covers the batched-matmul offset
+   indexing, the quantisation rounding/clamp edges, and the functional
+   simulator's byte-identity across job counts (in-process and against a
+   golden fixture; refresh with CMSWITCH_UPDATE_GOLDEN=1 dune runtest). *)
 
 module Kernels = Cim_tensor.Kernels
 module Tensor = Cim_tensor.Tensor
 module Shape = Cim_tensor.Shape
 module Ops = Cim_tensor.Ops
 module Quant = Cim_tensor.Quant
+module Oracle = Cim_oracle.Oracle
 module Rng = Cim_util.Rng
 module Functional = Cim_sim.Functional
 module Cmswitch = Cim_compiler.Cmswitch
@@ -85,7 +86,10 @@ let float_bits_equal x y =
         x;
       !ok)
 
-let both f = (Kernels.with_backend Kernels.Boxed f, Kernels.with_backend Kernels.Bigarray f)
+let qtensor_equal (a : Quant.qtensor) (b : Quant.qtensor) =
+  a.Quant.values = b.Quant.values
+  && Int64.bits_of_float a.Quant.scale = Int64.bits_of_float b.Quant.scale
+  && a.Quant.shape = b.Quant.shape
 
 (* ---- float matmul -------------------------------------------------------- *)
 
@@ -96,9 +100,12 @@ let matmul_differential =
        (QCheck.make ~print:print_mm gen_mm)
        (fun c ->
          let a, b = tensors_of c in
-         let boxed, big = both (fun () -> Ops.matmul a b) in
-         if not (float_bits_equal (Tensor.data boxed) (Tensor.data big)) then
-           QCheck.Test.fail_reportf "float bits diverge on %s" (print_mm c);
+         if not (float_bits_equal (Tensor.data (Oracle.matmul a b))
+                   (Tensor.data (Ops.matmul a b)))
+         then QCheck.Test.fail_reportf "float bits diverge on %s" (print_mm c);
+         (* the quantisation pass over the same mixed-style values *)
+         if not (qtensor_equal (Oracle.quantize a) (Quant.quantize a)) then
+           QCheck.Test.fail_reportf "quantize diverges on %s" (print_mm c);
          true))
 
 (* ---- int8 matmul --------------------------------------------------------- *)
@@ -133,17 +140,7 @@ let qmatmul_differential =
        ~count:120
        (QCheck.make ~print:print_qmm gen_qmm)
        (fun c ->
-         (* oracle: the seed triple loop over native ints *)
-         let expect = Array.make (c.qm * c.qn) 0 in
-         for i = 0 to c.qm - 1 do
-           for j = 0 to c.qn - 1 do
-             let acc = ref 0 in
-             for p = 0 to c.qk - 1 do
-               acc := !acc + (c.qa.((i * c.qk) + p) * c.qb.((p * c.qn) + j))
-             done;
-             expect.((i * c.qn) + j) <- !acc
-           done
-         done;
+         let expect = Oracle.qmatmul2d_boxed c.qa c.qb ~m:c.qm ~k:c.qk ~n:c.qn in
          let got = Kernels.qmatmul2d c.qa c.qb ~m:c.qm ~k:c.qk ~n:c.qn in
          if got <> expect then
            QCheck.Test.fail_reportf "accumulators diverge on %s" (print_qmm c);
@@ -152,9 +149,7 @@ let qmatmul_differential =
            { Quant.values = v; scale = 0.05; shape = Shape.of_list [ m; n ] }
          in
          let qa = mk c.qa c.qm c.qk and qb = mk c.qb c.qk c.qn in
-         let boxed, big = both (fun () -> Quant.matmul qa qb) in
-         boxed.Quant.values = big.Quant.values
-         && Int64.bits_of_float boxed.Quant.scale = Int64.bits_of_float big.Quant.scale))
+         qtensor_equal (Oracle.qmatmul qa qb) (Quant.matmul qa qb)))
 
 (* ---- conv2d / im2col ----------------------------------------------------- *)
 
@@ -203,12 +198,15 @@ let conv_differential =
              c.cwt
          in
          let bias = Option.map (fun b -> Tensor.create (Shape.of_list [ c.coc ]) b) c.cb in
-         let run () =
+         let expect =
+           Oracle.conv2d x ~weight:w ~bias ~stride:c.stride ~pad:c.pad
+             ~groups:c.groups
+         in
+         let got =
            Ops.conv2d x ~weight:w ?bias ~stride:c.stride ~pad:c.pad
              ~groups:c.groups ()
          in
-         let boxed, big = both run in
-         if not (float_bits_equal (Tensor.data boxed) (Tensor.data big)) then
+         if not (float_bits_equal (Tensor.data expect) (Tensor.data got)) then
            QCheck.Test.fail_reportf "conv bits diverge on %s" (print_conv c);
          true))
 
@@ -219,9 +217,8 @@ let im2col_differential =
        (QCheck.make ~print:print_conv gen_conv)
        (fun c ->
          let x = Tensor.create (Shape.of_list [ c.cn; c.cc; c.ch; c.cw ]) c.cx in
-         let run () = Ops.im2col x ~kh:c.ckh ~kw:c.ckw ~stride:c.stride ~pad:c.pad in
-         let boxed, big = both run in
-         float_bits_equal (Tensor.data boxed) (Tensor.data big)))
+         let run im2col = im2col x ~kh:c.ckh ~kw:c.ckw ~stride:c.stride ~pad:c.pad in
+         float_bits_equal (Tensor.data (run Oracle.im2col)) (Tensor.data (run Ops.im2col))))
 
 (* ---- batched matmul = looped 2-d (offset-indexing regression) ------------- *)
 
@@ -232,31 +229,28 @@ let test_batched_vs_looped () =
   let b = Tensor.rand rng (Shape.of_list [ k; n ]) ~lo:(-1.) ~hi:1. in
   let b3 = Tensor.rand rng (Shape.of_list [ bd; k; n ]) ~lo:(-1.) ~hi:1. in
   List.iter
-    (fun backend ->
-      Kernels.with_backend backend (fun () ->
-          let slice t i rows cols =
-            Tensor.create (Shape.of_list [ rows; cols ])
-              (Array.sub (Tensor.data t) (i * rows * cols) (rows * cols))
-          in
-          let batched = Ops.matmul a b in
-          let batched2 = Ops.matmul a b3 in
-          for bi = 0 to bd - 1 do
-            let looped = Ops.matmul (slice a bi m k) b in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: half-batched slice %d"
-                 (Kernels.backend_to_string backend) bi)
-              true
-              (float_bits_equal (Tensor.data looped)
-                 (Array.sub (Tensor.data batched) (bi * m * n) (m * n)));
-            let looped2 = Ops.matmul (slice a bi m k) (slice b3 bi k n) in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: fully-batched slice %d"
-                 (Kernels.backend_to_string backend) bi)
-              true
-              (float_bits_equal (Tensor.data looped2)
-                 (Array.sub (Tensor.data batched2) (bi * m * n) (m * n)))
-          done))
-    [ Kernels.Boxed; Kernels.Bigarray ]
+    (fun (label, matmul) ->
+      let slice t i rows cols =
+        Tensor.create (Shape.of_list [ rows; cols ])
+          (Array.sub (Tensor.data t) (i * rows * cols) (rows * cols))
+      in
+      let batched = matmul a b in
+      let batched2 = matmul a b3 in
+      for bi = 0 to bd - 1 do
+        let looped = matmul (slice a bi m k) b in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: half-batched slice %d" label bi)
+          true
+          (float_bits_equal (Tensor.data looped)
+             (Array.sub (Tensor.data batched) (bi * m * n) (m * n)));
+        let looped2 = matmul (slice a bi m k) (slice b3 bi k n) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: fully-batched slice %d" label bi)
+          true
+          (float_bits_equal (Tensor.data looped2)
+             (Array.sub (Tensor.data batched2) (bi * m * n) (m * n)))
+      done)
+    [ ("oracle", Oracle.matmul); ("runtime", Ops.matmul) ]
 
 (* ---- quantisation edges --------------------------------------------------- *)
 
@@ -269,25 +263,24 @@ let test_quant_edges () =
   (* symmetric quantisation maps +-max to +-127 exactly *)
   let t = Tensor.create (Shape.of_list [ 3 ]) [| 1.0; -1.0; 0.5 |] in
   List.iter
-    (fun backend ->
-      Kernels.with_backend backend (fun () ->
-          let q = Quant.quantize t in
-          Alcotest.(check (array int))
-            (Kernels.backend_to_string backend ^ ": boundary values")
-            [| 127; -127; 64 |] q.Quant.values))
-    [ Kernels.Boxed; Kernels.Bigarray ];
-  (* rounding ties go away from zero (Float.round), identically on both
-     backends: with scale = 1, +-0.5 and +-2.5 are exact ties *)
-  let ties = [| 0.5; -0.5; 2.5; -2.5; 1.49; -1.49 |] in
-  let expect = [| 1; -1; 3; -3; 1; -1 |] in
+    (fun (label, quantize) ->
+      Alcotest.(check (array int))
+        (label ^ ": boundary values")
+        [| 127; -127; 64 |] (quantize t).Quant.values)
+    [ ("oracle", Oracle.quantize); ("runtime", Quant.quantize) ];
+  (* rounding ties go away from zero (Float.round), identically in the
+     oracle and the runtime: the trailing 127 pins scale = 1, so +-0.5 and
+     +-2.5 are exact ties *)
+  let ties =
+    Tensor.create (Shape.of_list [ 7 ]) [| 0.5; -0.5; 2.5; -2.5; 1.49; -1.49; 127. |]
+  in
+  let expect = [| 1; -1; 3; -3; 1; -1; 127 |] in
   List.iter
-    (fun backend ->
-      Kernels.with_backend backend (fun () ->
-          Alcotest.(check (array int))
-            (Kernels.backend_to_string backend ^ ": ties away from zero")
-            expect
-            (Kernels.quantize_values ties ~scale:1.)))
-    [ Kernels.Boxed; Kernels.Bigarray ];
+    (fun (label, quantize) ->
+      Alcotest.(check (array int))
+        (label ^ ": ties away from zero")
+        expect (quantize ties).Quant.values)
+    [ ("oracle", Oracle.quantize); ("runtime", Quant.quantize) ];
   (* all-zero tensor quantises to scale 1, not NaN *)
   let z = Quant.quantize (Tensor.zeros (Shape.of_list [ 4 ])) in
   Alcotest.(check (float 0.)) "zero tensor scale" 1.0 z.Quant.scale;
@@ -298,17 +291,19 @@ let test_quant_edges () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "requantize accepted in_scale=%g" s)
     [ 0.; -1. ];
-  (* requantised accumulators saturate into [-128, 127] *)
-  let q = Quant.requantize [| 1000; -1000; 0 |] (Shape.of_list [ 3 ]) ~in_scale:1. in
-  Alcotest.(check (array int)) "requantize saturation bounds" [| 127; -127; 0 |]
-    q.Quant.values
-
-let test_backend_of_string () =
-  Alcotest.(check bool) "boxed" true (Kernels.backend_of_string "Boxed" = Ok Kernels.Boxed);
-  Alcotest.(check bool) "bigarray" true
-    (Kernels.backend_of_string " bigarray " = Ok Kernels.Bigarray);
-  Alcotest.(check bool) "junk rejected" true
-    (match Kernels.backend_of_string "vulkan" with Error _ -> true | Ok _ -> false)
+  (* requantised accumulators saturate into [-128, 127], and the runtime
+     requantisation (scale included) equals the oracle's *)
+  let acc = [| 1000; -1000; 0; 337; -337; -1 |] in
+  let shape = Shape.of_list [ 6 ] in
+  let q = Quant.requantize acc shape ~in_scale:1. in
+  Alcotest.(check (array int)) "requantize saturation bounds and rounding"
+    [| 127; -127; 0; 43; -43; 0 |] q.Quant.values;
+  Alcotest.(check bool) "requantize = oracle" true
+    (qtensor_equal (Oracle.requantize acc shape ~in_scale:1.) q);
+  Alcotest.(check bool) "requantize all-zero = oracle" true
+    (qtensor_equal
+       (Oracle.requantize [| 0; 0 |] (Shape.of_list [ 2 ]) ~in_scale:0.5)
+       (Quant.requantize [| 0; 0 |] (Shape.of_list [ 2 ]) ~in_scale:0.5))
 
 (* ---- functional simulator byte-identity ----------------------------------- *)
 
@@ -324,25 +319,19 @@ let sim_digests () =
   List.map
     (fun (name, g, inputs) ->
       let r = Cmswitch.compile chip g in
-      let digest ~jobs ~backend =
-        Functional.digest
-          (Functional.run chip ~jobs ~backend g r.Cmswitch.program ~inputs)
+      let digest ~jobs =
+        Functional.digest (Functional.run chip ~jobs g r.Cmswitch.program ~inputs)
       in
-      let d_big1 = digest ~jobs:1 ~backend:Kernels.Bigarray in
-      let d_big4 = digest ~jobs:4 ~backend:Kernels.Bigarray in
-      let d_box1 = digest ~jobs:1 ~backend:Kernels.Boxed in
-      let d_box4 = digest ~jobs:4 ~backend:Kernels.Boxed in
-      Alcotest.(check string) (name ^ ": bigarray jobs=4 = jobs=1") d_big1 d_big4;
-      Alcotest.(check string) (name ^ ": boxed jobs=4 = jobs=1") d_box1 d_box4;
-      Alcotest.(check string) (name ^ ": boxed = bigarray") d_big1 d_box1;
-      (name, [ (Kernels.Boxed, d_box1); (Kernels.Bigarray, d_big1) ]))
+      let d1 = digest ~jobs:1 in
+      Alcotest.(check string) (name ^ ": jobs=4 = jobs=1") d1 (digest ~jobs:4);
+      (name, d1))
     (sim_cases ())
 
 let test_sim_byte_identity () = ignore (sim_digests ())
 
-(* golden fixture: one digest line per (model, backend) so any drift in the
-   kernels, the quantised pipeline or the digest itself is caught against
-   version control, per backend *)
+(* golden fixture: one digest line per model so any drift in the kernels,
+   the quantised pipeline or the digest itself is caught against version
+   control; "bigarray" names the kernel engine the digests were taken on *)
 let golden_dir () =
   List.find_opt Sys.file_exists [ "../../../test/golden"; "test/golden"; "golden" ]
 
@@ -351,13 +340,7 @@ let golden_path () =
 
 let render_digests ds =
   String.concat ""
-    (List.concat_map
-       (fun (name, per_backend) ->
-         List.map
-           (fun (b, d) ->
-             Printf.sprintf "%s %s %s\n" name (Kernels.backend_to_string b) d)
-           per_backend)
-       ds)
+    (List.map (fun (name, d) -> Printf.sprintf "%s bigarray %s\n" name d) ds)
 
 let test_sim_golden () =
   let rendered = render_digests (sim_digests ()) in
@@ -393,6 +376,5 @@ let suite =
       im2col_differential;
       Alcotest.test_case "batched matmul = looped 2-d" `Quick test_batched_vs_looped;
       Alcotest.test_case "quantisation edges" `Quick test_quant_edges;
-      Alcotest.test_case "backend_of_string" `Quick test_backend_of_string;
       Alcotest.test_case "functional sim byte-identity" `Quick test_sim_byte_identity;
       Alcotest.test_case "functional sim golden digests" `Quick test_sim_golden ] )

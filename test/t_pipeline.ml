@@ -24,7 +24,6 @@ module Plan = Cim_compiler.Plan
 module Flow = Cim_metaop.Flow
 module Isa = Cim_metaop.Isa
 module Functional = Cim_sim.Functional
-module Isa_sim = Cim_sim.Isa_sim
 
 let chip = Config.dynaplasia
 
@@ -430,11 +429,11 @@ let test_bracket_validation () =
   | _ -> Alcotest.fail "nested Parallel accepted"
   | exception Invalid_argument _ -> ()
 
-(* ---- machine-level simulator vs the meta-op functional simulator ---------- *)
+(* ---- the command-stream entry vs the meta-op functional simulator -------- *)
 
-(* the differential contract of the second backend: the flat command-stream
-   interpreter produces the same digest (outputs + instruction and switch
-   counters) as the tree-walking meta-op simulator, at jobs 1 and 4 *)
+(* running the flattened stream produces the same digest (outputs +
+   instruction and switch counters) as running the Flow it was lowered
+   from, at jobs 1 and 4 *)
 let test_machine_differential key () =
   let g = graph_of key in
   let r = Cmswitch.compile chip g in
@@ -450,15 +449,16 @@ let test_machine_differential key () =
     Functional.digest (Functional.run chip ~jobs:1 g' r.Cmswitch.program ~inputs)
   in
   let isa_d jobs =
-    Functional.digest (Isa_sim.run chip ~jobs g' img ~inputs)
+    Functional.digest (Functional.run_isa chip ~jobs g' img ~inputs)
   in
   Alcotest.(check string) (key ^ ": machine sim = functional sim (jobs=1)")
     reference (isa_d 1);
   Alcotest.(check string) (key ^ ": machine sim = functional sim (jobs=4)")
     reference (isa_d 4)
 
-(* the machine sim inherits the fault model: a stream that computes on an
-   array the program never switched must be rejected *)
+(* the stream entry inherits the fault model: a stream that computes on an
+   array the program never switched must be rejected; malformed bracket
+   markers must surface as Functional.Error, never as Invalid_argument *)
 let test_machine_rejects_corrupt_stream () =
   let g = graph_of "bert-large" in
   let r = Cmswitch.compile chip g in
@@ -470,16 +470,31 @@ let test_machine_rejects_corrupt_stream () =
       g'.Graph.graph_inputs
   in
   let img = Isa.of_flow r.Cmswitch.program in
+  let cmds = img.Isa.cmds in
   (* drop the leading SWITCH command: every compute now runs on arrays in
-     the wrong mode, which the static raise-and-validate step or the
-     machine model must reject *)
+     the wrong mode, which the static validator or the machine model must
+     reject *)
   let corrupt =
-    { img with Isa.cmds = Array.sub img.Isa.cmds 1 (Array.length img.Isa.cmds - 1) }
+    { img with Isa.cmds = Array.sub cmds 1 (Array.length cmds - 1) }
   in
-  match Isa_sim.run chip ~jobs:1 g' corrupt ~inputs with
+  (match Functional.run_isa chip ~jobs:1 g' corrupt ~inputs with
   | _ -> Alcotest.fail "corrupt command stream accepted"
   | exception Functional.Error _ -> ()
-  | exception Cim_sim.Machine.Fault _ -> ()
+  | exception Cim_sim.Machine.Fault _ -> ());
+  let rec first_par i =
+    if i >= Array.length cmds then Alcotest.fail "no PAR_BEGIN in the stream"
+    else match cmds.(i) with Isa.Par_begin n -> (i, n) | _ -> first_par (i + 1)
+  in
+  let par_at, count = first_par 0 in
+  let miscounted = Array.copy cmds in
+  miscounted.(par_at) <- Isa.Par_begin (count + 1);
+  List.iter
+    (fun (what, cmds) ->
+      match Functional.run_isa chip ~jobs:1 g' { img with Isa.cmds } ~inputs with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Functional.Error _ -> ())
+    [ ("stray PAR_END", Array.append cmds [| Isa.Par_end |]);
+      ("miscounted PAR_BEGIN", miscounted) ]
 
 let qtest = QCheck_alcotest.to_alcotest
 
