@@ -216,10 +216,19 @@ let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
           r
       in
       (* a Conv sub-operator slices output channels (axis 1 of NCHW);
-         matmul/gemm sub-operators slice the last (feature) axis *)
+         matmul/gemm sub-operators slice the last (feature) axis. A grouped
+         Conv's slice is in per-group columns [0, oc/groups) (Opinfo
+         partitions one group's stationary matrix) and covers that range
+         in every group. *)
       let shape = Tensor.shape result in
       let axis = match nd.Graph.op with Op.Conv -> 1 | _ -> Shape.rank shape - 1 in
-      let width = Shape.dim shape axis in
+      let groups =
+        match nd.Graph.op with
+        | Op.Conv -> Attr.get_int_d nd.Graph.attrs "groups" 1
+        | _ -> 1
+      in
+      let full = Shape.dim shape axis in
+      let width = full / groups in
       let cov =
         match Hashtbl.find_opt coverages node_id with
         | Some c -> c
@@ -243,12 +252,14 @@ let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
       for a = axis + 1 to Array.length dims - 1 do
         inner := !inner * dims.(a)
       done;
-      let outer = Tensor.numel result / (width * !inner) in
+      let outer = Tensor.numel result / (full * !inner) in
       let rd = Tensor.data result and od = Tensor.data out in
       let lo = slice.Flow.lo and hi = min width slice.Flow.hi in
       for o = 0 to outer - 1 do
-        let base = o * width * !inner in
-        Array.blit rd (base + (lo * !inner)) od (base + (lo * !inner)) ((hi - lo) * !inner)
+        for g = 0 to groups - 1 do
+          let off = ((o * full) + (g * width) + lo) * !inner in
+          Array.blit rd off od off ((hi - lo) * !inner)
+        done
       done
   in
   List.iter exec p.Flow.instrs;

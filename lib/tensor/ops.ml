@@ -23,6 +23,44 @@ let matmul a b =
       (Printf.sprintf "Ops.matmul: incompatible shapes %s x %s"
          (Shape.to_string sa) (Shape.to_string sb))
 
+(* Row-major odometer over the outer axes of [dims] (all but the last):
+   [row o len offs steps] is called once per output row of [len] elements,
+   with the flat offset [o] of its first element and, for each stride
+   array in [strides], the matching input offset in [offs] and that
+   input's step along the row in [steps]. An input's strides are per
+   output axis, so a size-1 broadcast axis has stride 0 and a permuted
+   axis carries its source stride. A rank-0 output is one row of one
+   element. *)
+let walk_rows dims (strides : int array array) row =
+  let dims, strides =
+    if Array.length dims = 0 then ([| 1 |], Array.map (fun _ -> [| 0 |]) strides)
+    else (dims, strides)
+  in
+  let r = Array.length dims in
+  let len = dims.(r - 1) in
+  let rows = Array.fold_left ( * ) 1 dims / len in
+  let steps = Array.map (fun st -> st.(r - 1)) strides in
+  let idx = Array.make r 0 in
+  let offs = Array.make (Array.length strides) 0 in
+  for o = 0 to rows - 1 do
+    row (o * len) len offs steps;
+    (* carry: bump the innermost outer axis, wrapping into the next one *)
+    let ax = ref (r - 2) in
+    while !ax >= 0 do
+      let a = !ax in
+      idx.(a) <- idx.(a) + 1;
+      if idx.(a) < dims.(a) then begin
+        Array.iteri (fun i st -> offs.(i) <- offs.(i) + st.(a)) strides;
+        ax := -1
+      end
+      else begin
+        idx.(a) <- 0;
+        Array.iteri (fun i st -> offs.(i) <- offs.(i) - ((dims.(a) - 1) * st.(a))) strides;
+        decr ax
+      end
+    done
+  done
+
 let broadcast_op name f a b =
   match Shape.broadcast (Tensor.shape a) (Tensor.shape b) with
   | None ->
@@ -32,13 +70,22 @@ let broadcast_op name f a b =
          (Shape.to_string (Tensor.shape b)))
   | Some shape ->
     let rank = Shape.rank shape in
-    let pad s = List.init (rank - Shape.rank s) (fun _ -> 1) @ s in
-    let sa = pad (Tensor.shape a) and sb = pad (Tensor.shape b) in
-    let a = Tensor.reshape a (Shape.of_list sa)
-    and b = Tensor.reshape b (Shape.of_list sb) in
-    Tensor.init shape (fun idx ->
-        let clip s = List.map2 (fun i d -> if d = 1 then 0 else i) idx s in
-        f (Tensor.get a (clip sa)) (Tensor.get b (clip sb)))
+    (* rank-pad on the left, then zero the stride of every size-1 axis *)
+    let strides s =
+      let s = List.init (rank - Shape.rank s) (fun _ -> 1) @ s in
+      let st = Shape.strides s in
+      List.iteri (fun i d -> if d = 1 then st.(i) <- 0) s;
+      st
+    in
+    let sa = strides (Tensor.shape a) and sb = strides (Tensor.shape b) in
+    let out = Tensor.zeros shape in
+    let da = Tensor.data a and db = Tensor.data b and dst = Tensor.data out in
+    walk_rows (Array.of_list shape) [| sa; sb |] (fun o len offs steps ->
+        let ia = offs.(0) and ib = offs.(1) and la = steps.(0) and lb = steps.(1) in
+        for j = 0 to len - 1 do
+          dst.(o + j) <- f da.(ia + (j * la)) db.(ib + (j * lb))
+        done);
+    out
 
 let add a b = broadcast_op "add" ( +. ) a b
 let mul a b = broadcast_op "mul" ( *. ) a b
@@ -98,10 +145,14 @@ let rmsnorm ?(eps = 1e-5) t ~gamma =
 let transpose2d t =
   match Tensor.shape t with
   | [ m; n ] ->
-    Tensor.init (Shape.of_list [ n; m ]) (fun idx ->
-        match idx with
-        | [ j; i ] -> Tensor.get t [ i; j ]
-        | _ -> assert false)
+    let out = Tensor.zeros (Shape.of_list [ n; m ]) in
+    let src = Tensor.data t and dst = Tensor.data out in
+    for j = 0 to n - 1 do
+      for i = 0 to m - 1 do
+        dst.((j * m) + i) <- src.((i * n) + j)
+      done
+    done;
+    out
   | s -> invalid_arg ("Ops.transpose2d: expected rank 2, got " ^ Shape.to_string s)
 
 let permute t perm =
@@ -110,10 +161,17 @@ let permute t perm =
   if List.sort compare perm <> List.init r Fun.id then
     invalid_arg "Ops.permute: not a permutation of axes";
   let out_shape = Shape.of_list (List.map (fun i -> Shape.dim shape i) perm) in
-  Tensor.init out_shape (fun idx ->
-      let src = Array.make r 0 in
-      List.iteri (fun out_axis in_axis -> src.(in_axis) <- List.nth idx out_axis) perm;
-      Tensor.get t (Array.to_list src))
+  (* output axis k walks input axis perm.(k) *)
+  let in_strides = Shape.strides shape in
+  let st = Array.of_list (List.map (fun i -> in_strides.(i)) perm) in
+  let out = Tensor.zeros out_shape in
+  let src = Tensor.data t and dst = Tensor.data out in
+  walk_rows (Array.of_list out_shape) [| st |] (fun o len offs steps ->
+      let i0 = offs.(0) and step = steps.(0) in
+      for j = 0 to len - 1 do
+        dst.(o + j) <- src.(i0 + (j * step))
+      done);
+  out
 
 let out_dim h k stride pad = ((h + (2 * pad) - k) / stride) + 1
 
@@ -204,69 +262,77 @@ let clip t ~lo ~hi =
   if hi < lo then invalid_arg "Ops.clip: hi < lo";
   Tensor.map (fun x -> Float.min hi (Float.max lo x)) t
 
-let maxpool2d t ~k ~stride ?(pad = 0) () =
+(* Pool windows are read by index arithmetic over the NCHW plane of each
+   (image, channel): taps in ascending [ky], [kx], out-of-bounds taps
+   skipped. *)
+let pool2d name t ~k ~stride ~pad ~init ~step ~finish =
   match Tensor.shape t with
   | [ n; c; h; w ] ->
     let oh = out_dim h k stride pad and ow = out_dim w k stride pad in
-    Tensor.init (Shape.of_list [ n; c; oh; ow ]) (fun idx ->
-        match idx with
-        | [ ni; ci; oy; ox ] ->
-          let best = ref neg_infinity in
+    let out = Tensor.zeros (Shape.of_list [ n; c; oh; ow ]) in
+    let src = Tensor.data t and dst = Tensor.data out in
+    for plane = 0 to (n * c) - 1 do
+      let ibase = plane * h * w and obase = plane * oh * ow in
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let acc = ref init in
           for ky = 0 to k - 1 do
-            for kx = 0 to k - 1 do
-              let iy = (oy * stride) + ky - pad and ix = (ox * stride) + kx - pad in
-              if iy >= 0 && iy < h && ix >= 0 && ix < w then
-                best := Float.max !best (Tensor.get t [ ni; ci; iy; ix ])
-            done
+            let iy = (oy * stride) + ky - pad in
+            if iy >= 0 && iy < h then
+              for kx = 0 to k - 1 do
+                let ix = (ox * stride) + kx - pad in
+                if ix >= 0 && ix < w then
+                  acc := step !acc src.(ibase + (iy * w) + ix)
+              done
           done;
-          !best
-        | _ -> assert false)
-  | s -> invalid_arg ("Ops.maxpool2d: expected NCHW, got " ^ Shape.to_string s)
+          dst.(obase + (oy * ow) + ox) <- finish !acc
+        done
+      done
+    done;
+    out
+  | s -> invalid_arg (Printf.sprintf "Ops.%s: expected NCHW, got %s" name (Shape.to_string s))
+
+let maxpool2d t ~k ~stride ?(pad = 0) () =
+  pool2d "maxpool2d" t ~k ~stride ~pad ~init:neg_infinity ~step:Float.max
+    ~finish:Fun.id
 
 let avgpool2d t ~k ~stride ?(pad = 0) () =
-  match Tensor.shape t with
-  | [ n; c; h; w ] ->
-    let oh = out_dim h k stride pad and ow = out_dim w k stride pad in
-    Tensor.init (Shape.of_list [ n; c; oh; ow ]) (fun idx ->
-        match idx with
-        | [ ni; ci; oy; ox ] ->
-          let acc = ref 0. in
-          for ky = 0 to k - 1 do
-            for kx = 0 to k - 1 do
-              let iy = (oy * stride) + ky - pad and ix = (ox * stride) + kx - pad in
-              if iy >= 0 && iy < h && ix >= 0 && ix < w then
-                acc := !acc +. Tensor.get t [ ni; ci; iy; ix ]
-            done
-          done;
-          !acc /. float_of_int (k * k)
-        | _ -> assert false)
-  | s -> invalid_arg ("Ops.avgpool2d: expected NCHW, got " ^ Shape.to_string s)
+  let div = float_of_int (k * k) in
+  pool2d "avgpool2d" t ~k ~stride ~pad ~init:0. ~step:( +. )
+    ~finish:(fun s -> s /. div)
 
 let avgpool_global t =
   match Tensor.shape t with
   | [ n; c; h; w ] ->
-    Tensor.init (Shape.of_list [ n; c ]) (fun idx ->
-        match idx with
-        | [ ni; ci ] ->
-          let s = ref 0. in
-          for yi = 0 to h - 1 do
-            for xi = 0 to w - 1 do
-              s := !s +. Tensor.get t [ ni; ci; yi; xi ]
-            done
-          done;
-          !s /. float_of_int (h * w)
-        | _ -> assert false)
+    let out = Tensor.zeros (Shape.of_list [ n; c ]) in
+    let src = Tensor.data t and dst = Tensor.data out in
+    let hw = h * w in
+    let div = float_of_int hw in
+    for plane = 0 to (n * c) - 1 do
+      let s = ref 0. in
+      for i = plane * hw to ((plane + 1) * hw) - 1 do
+        s := !s +. src.(i)
+      done;
+      dst.(plane) <- !s /. div
+    done;
+    out
   | s -> invalid_arg ("Ops.avgpool_global: expected NCHW, got " ^ Shape.to_string s)
 
 let concat a b ~axis =
   match Shape.concat_dim (Tensor.shape a) (Tensor.shape b) ~axis with
   | None -> invalid_arg "Ops.concat: incompatible shapes"
   | Some shape ->
-    let da = Shape.dim (Tensor.shape a) axis in
-    Tensor.init shape (fun idx ->
-        let i = List.nth idx axis in
-        if i < da then Tensor.get a idx
-        else Tensor.get b (List.mapi (fun ax j -> if ax = axis then j - da else j) idx))
+    (* per outer index: a's slab along [axis], then b's *)
+    let inner = (Shape.strides shape).(axis) in
+    let la = Shape.dim (Tensor.shape a) axis * inner
+    and lb = Shape.dim (Tensor.shape b) axis * inner in
+    let out = Tensor.zeros shape in
+    let da = Tensor.data a and db = Tensor.data b and dst = Tensor.data out in
+    for o = 0 to (Tensor.numel a / la) - 1 do
+      Array.blit da (o * la) dst (o * (la + lb)) la;
+      Array.blit db (o * lb) dst ((o * (la + lb)) + la) lb
+    done;
+    out
 
 let attention ~q ~k ~v ?(causal = false) () =
   match (Tensor.shape q, Tensor.shape k, Tensor.shape v) with
@@ -277,12 +343,15 @@ let attention ~q ~k ~v ?(causal = false) () =
     let scores =
       if not causal then scores
       else
-        Tensor.init (Shape.of_list [ m; l ]) (fun idx ->
-            match idx with
-            | [ i; j ] ->
-              (* query i corresponds to absolute position l - m + i *)
-              if j > l - m + i then neg_infinity else Tensor.get scores [ i; j ]
-            | _ -> assert false)
+        (* query i corresponds to absolute position l - m + i; [scores]
+           is a fresh tensor, so mask it in place *)
+        let sd = Tensor.data scores in
+        for i = 0 to m - 1 do
+          for j = max 0 (l - m + i + 1) to l - 1 do
+            sd.((i * l) + j) <- neg_infinity
+          done
+        done;
+        scores
     in
     matmul (softmax scores) v
   | _ -> invalid_arg "Ops.attention: expects q:[m;d] k:[l;d] v:[l;d]"

@@ -5,7 +5,13 @@
     The hot kernels (matmul, im2col and the conv2d lowering built on them)
     run the cache-blocked loops of {!Kernels}, bitwise identical to the
     naive seed loops kept as the test oracle (see kernels.mli for the
-    contract); [test/t_kernels.ml] checks it exhaustively. *)
+    contract); [test/t_kernels.ml] checks it exhaustively.
+
+    The data-movement operators (broadcast [add]/[mul], [transpose2d],
+    [permute], [concat], the pools, the causal mask in [attention]) index
+    the row-major backing arrays by flat offset, with no per-element index
+    list, and are bitwise identical to the list-index bodies kept as the
+    oracle in [test/oracle/]. *)
 
 val matmul : Tensor.t -> Tensor.t -> Tensor.t
 (** [m;k] x [k;n] -> [m;n]; also accepts a leading batch dim on the left

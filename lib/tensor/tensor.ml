@@ -47,11 +47,20 @@ let max_abs_diff a b =
 let equal ?(eps = 1e-9) a b =
   Shape.equal a.shape b.shape && max_abs_diff a b <= eps
 
+(* filled in row-major order, one draw per element, with no index list *)
 let rand rng shape ~lo ~hi =
-  init shape (fun _ -> lo +. Cim_util.Rng.float rng (hi -. lo))
+  let data = Array.make (Shape.numel shape) 0. in
+  for i = 0 to Array.length data - 1 do
+    data.(i) <- lo +. Cim_util.Rng.float rng (hi -. lo)
+  done;
+  { shape; data }
 
 let randn rng shape ~mu ~sigma =
-  init shape (fun _ -> Cim_util.Rng.gaussian rng ~mu ~sigma)
+  let data = Array.make (Shape.numel shape) 0. in
+  for i = 0 to Array.length data - 1 do
+    data.(i) <- Cim_util.Rng.gaussian rng ~mu ~sigma
+  done;
+  { shape; data }
 
 let to_string ?(max_elems = 16) t =
   let n = numel t in

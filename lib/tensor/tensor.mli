@@ -10,6 +10,12 @@ val create : Shape.t -> float array -> t
 val zeros : Shape.t -> t
 val full : Shape.t -> float -> t
 val init : Shape.t -> (int list -> float) -> t
+(** [init shape f] calls [f] on the row-major index list of every element.
+    It builds one [int list] per element (via {!Shape.unravel}), which
+    costs ~100 ns an element: a convenience for tests and small tensors,
+    not for weights or data movement on large ones — those index flat
+    offsets into {!data}. *)
+
 val scalar : float -> t
 
 val shape : t -> Shape.t
@@ -39,6 +45,10 @@ val max_abs_diff : t -> t -> float
 (** Raises on shape mismatch. *)
 
 val rand : Cim_util.Rng.t -> Shape.t -> lo:float -> hi:float -> t
+(** Element [i] in row-major order is the [i]-th draw
+    [lo +. Rng.float rng (hi -. lo)]. *)
+
 val randn : Cim_util.Rng.t -> Shape.t -> mu:float -> sigma:float -> t
+(** Row-major, one [Rng.gaussian] call per element. *)
 
 val to_string : ?max_elems:int -> t -> string

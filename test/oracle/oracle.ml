@@ -146,3 +146,135 @@ let qmatmul (a : Quant.qtensor) (b : Quant.qtensor) =
       (Shape.of_list [ m; n ])
       ~in_scale:(a.Quant.scale *. b.Quant.scale)
   | _ -> invalid_arg "Oracle.qmatmul: expects [m;k] x [k;n]"
+
+(* ---- list-index data movement: the seed bodies of Ops' flat-offset
+   loops, one Tensor.init index list per output element ---- *)
+
+let broadcast_op f a b =
+  match Shape.broadcast (Tensor.shape a) (Tensor.shape b) with
+  | None -> invalid_arg "Oracle.broadcast_op: shapes do not broadcast"
+  | Some shape ->
+    let rank = Shape.rank shape in
+    let pad s = List.init (rank - Shape.rank s) (fun _ -> 1) @ s in
+    let sa = pad (Tensor.shape a) and sb = pad (Tensor.shape b) in
+    let a = Tensor.reshape a (Shape.of_list sa)
+    and b = Tensor.reshape b (Shape.of_list sb) in
+    Tensor.init shape (fun idx ->
+        let clip s = List.map2 (fun i d -> if d = 1 then 0 else i) idx s in
+        f (Tensor.get a (clip sa)) (Tensor.get b (clip sb)))
+
+let add a b = broadcast_op ( +. ) a b
+let mul a b = broadcast_op ( *. ) a b
+
+let transpose2d t =
+  match Tensor.shape t with
+  | [ m; n ] ->
+    Tensor.init (Shape.of_list [ n; m ]) (fun idx ->
+        match idx with
+        | [ j; i ] -> Tensor.get t [ i; j ]
+        | _ -> assert false)
+  | _ -> invalid_arg "Oracle.transpose2d: expected rank 2"
+
+let permute t perm =
+  let shape = Tensor.shape t in
+  let r = Shape.rank shape in
+  let out_shape = Shape.of_list (List.map (fun i -> Shape.dim shape i) perm) in
+  Tensor.init out_shape (fun idx ->
+      let src = Array.make r 0 in
+      List.iteri (fun out_axis in_axis -> src.(in_axis) <- List.nth idx out_axis) perm;
+      Tensor.get t (Array.to_list src))
+
+let concat a b ~axis =
+  match Shape.concat_dim (Tensor.shape a) (Tensor.shape b) ~axis with
+  | None -> invalid_arg "Oracle.concat: incompatible shapes"
+  | Some shape ->
+    let da = Shape.dim (Tensor.shape a) axis in
+    Tensor.init shape (fun idx ->
+        let i = List.nth idx axis in
+        if i < da then Tensor.get a idx
+        else Tensor.get b (List.mapi (fun ax j -> if ax = axis then j - da else j) idx))
+
+let maxpool2d t ~k ~stride ~pad =
+  match Tensor.shape t with
+  | [ n; c; h; w ] ->
+    let oh = out_dim h k stride pad and ow = out_dim w k stride pad in
+    Tensor.init (Shape.of_list [ n; c; oh; ow ]) (fun idx ->
+        match idx with
+        | [ ni; ci; oy; ox ] ->
+          let best = ref neg_infinity in
+          for ky = 0 to k - 1 do
+            for kx = 0 to k - 1 do
+              let iy = (oy * stride) + ky - pad and ix = (ox * stride) + kx - pad in
+              if iy >= 0 && iy < h && ix >= 0 && ix < w then
+                best := Float.max !best (Tensor.get t [ ni; ci; iy; ix ])
+            done
+          done;
+          !best
+        | _ -> assert false)
+  | _ -> invalid_arg "Oracle.maxpool2d: expected NCHW"
+
+let avgpool2d t ~k ~stride ~pad =
+  match Tensor.shape t with
+  | [ n; c; h; w ] ->
+    let oh = out_dim h k stride pad and ow = out_dim w k stride pad in
+    Tensor.init (Shape.of_list [ n; c; oh; ow ]) (fun idx ->
+        match idx with
+        | [ ni; ci; oy; ox ] ->
+          let acc = ref 0. in
+          for ky = 0 to k - 1 do
+            for kx = 0 to k - 1 do
+              let iy = (oy * stride) + ky - pad and ix = (ox * stride) + kx - pad in
+              if iy >= 0 && iy < h && ix >= 0 && ix < w then
+                acc := !acc +. Tensor.get t [ ni; ci; iy; ix ]
+            done
+          done;
+          !acc /. float_of_int (k * k)
+        | _ -> assert false)
+  | _ -> invalid_arg "Oracle.avgpool2d: expected NCHW"
+
+let avgpool_global t =
+  match Tensor.shape t with
+  | [ n; c; h; w ] ->
+    Tensor.init (Shape.of_list [ n; c ]) (fun idx ->
+        match idx with
+        | [ ni; ci ] ->
+          let s = ref 0. in
+          for yi = 0 to h - 1 do
+            for xi = 0 to w - 1 do
+              s := !s +. Tensor.get t [ ni; ci; yi; xi ]
+            done
+          done;
+          !s /. float_of_int (h * w)
+        | _ -> assert false)
+  | _ -> invalid_arg "Oracle.avgpool_global: expected NCHW"
+
+let causal_mask scores =
+  match Tensor.shape scores with
+  | [ m; l ] ->
+    Tensor.init (Shape.of_list [ m; l ]) (fun idx ->
+        match idx with
+        | [ i; j ] -> if j > l - m + i then neg_infinity else Tensor.get scores [ i; j ]
+        | _ -> assert false)
+  | _ -> invalid_arg "Oracle.causal_mask: expected rank 2"
+
+let attention ~q ~k ~v ~causal =
+  let d = Shape.dim (Tensor.shape q) (-1) in
+  let scores = Ops.matmul q (transpose2d k) in
+  let scale = 1. /. sqrt (float_of_int d) in
+  let scores = Tensor.map (fun x -> x *. scale) scores in
+  let scores = if causal then causal_mask scores else scores in
+  Ops.matmul (Ops.softmax scores) v
+
+let embedding ids w =
+  match Tensor.shape w with
+  | [ vocab; d ] ->
+    Tensor.init (Shape.of_list (Tensor.shape ids @ [ d ])) (fun idx ->
+        let rev = List.rev idx in
+        let di = List.hd rev in
+        let id_idx = List.rev (List.tl rev) in
+        let row = int_of_float (Tensor.get ids id_idx) in
+        if row < 0 || row >= vocab then invalid_arg "Oracle.embedding: id out of vocab";
+        Tensor.get w [ row; di ])
+  | _ -> invalid_arg "Oracle.embedding: weight not [vocab;d]"
+
+let rand rng shape ~lo ~hi = Tensor.init shape (fun _ -> lo +. Cim_util.Rng.float rng (hi -. lo))

@@ -29,3 +29,28 @@ val qmatmul2d_boxed : int array -> int array -> m:int -> k:int -> n:int -> int a
 
 val qmatmul : Quant.qtensor -> Quant.qtensor -> Quant.qtensor
 (** {!Quant.matmul} over {!qmatmul2d_boxed} and {!requantize}. *)
+
+(** {2 List-index data movement}
+
+    The seed bodies of {!Ops}' data-movement operators, {!Tensor.rand} and
+    the [Embedding] case of {!Cim_nnir.Exec.eval_node}: every output
+    element is built by {!Tensor.init} from its [int list] index. The
+    runtime versions walk flat offsets instead and must reproduce these bit
+    for bit. *)
+
+val add : Tensor.t -> Tensor.t -> Tensor.t
+val mul : Tensor.t -> Tensor.t -> Tensor.t
+val transpose2d : Tensor.t -> Tensor.t
+val permute : Tensor.t -> int list -> Tensor.t
+val concat : Tensor.t -> Tensor.t -> axis:int -> Tensor.t
+val maxpool2d : Tensor.t -> k:int -> stride:int -> pad:int -> Tensor.t
+val avgpool2d : Tensor.t -> k:int -> stride:int -> pad:int -> Tensor.t
+val avgpool_global : Tensor.t -> Tensor.t
+
+val attention : q:Tensor.t -> k:Tensor.t -> v:Tensor.t -> causal:bool -> Tensor.t
+(** {!Ops.attention} with the list-index transpose and causal mask. *)
+
+val embedding : Tensor.t -> Tensor.t -> Tensor.t
+(** ids (any shape) x [[vocab; d]] -> ids shape @ [[d]]. *)
+
+val rand : Cim_util.Rng.t -> Shape.t -> lo:float -> hi:float -> Tensor.t

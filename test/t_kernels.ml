@@ -220,6 +220,205 @@ let im2col_differential =
          let run im2col = im2col x ~kh:c.ckh ~kw:c.ckw ~stride:c.stride ~pad:c.pad in
          float_bits_equal (Tensor.data (run Oracle.im2col)) (Tensor.data (run Ops.im2col))))
 
+(* ---- flat-offset data movement vs the list-index oracle ------------------ *)
+
+(* values for the data-movement ops: the mixed styles above plus the IEEE
+   specials, so the max/+/* operand order shows in the result bits *)
+let gen_specials n =
+  let open QCheck.Gen in
+  let one =
+    frequency
+      [ (6, float_range (-2.) 2.);
+        (1, oneofl [ nan; neg_infinity; infinity; 0.; -0.; 1.; -1. ]) ]
+  in
+  map Array.of_list (list_repeat n one)
+
+let gen_dims ~lo ~hi =
+  QCheck.Gen.(int_range lo hi >>= fun r -> list_repeat r (int_range 1 4))
+
+let tensor_of dims v = Tensor.create (Shape.of_list dims) v
+
+let bits_equal a b =
+  Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && float_bits_equal (Tensor.data a) (Tensor.data b)
+
+let dims_str d = Shape.to_string (Shape.of_list d)
+
+(* an output shape, then two operands that each drop leading axes (rank
+   padding, down to a scalar) and squash axes to 1 (broadcast on either
+   side) *)
+let gen_broadcast =
+  let open QCheck.Gen in
+  let* out = gen_dims ~lo:0 ~hi:4 in
+  let operand =
+    let* drop = int_range 0 (List.length out) in
+    let kept = List.filteri (fun i _ -> i >= drop) out in
+    let* squash = list_repeat (List.length kept) (int_range 0 2) in
+    return (List.map2 (fun d s -> if s = 0 then 1 else d) kept squash)
+  in
+  let* da = operand in
+  let* db = operand in
+  let* va = gen_specials (Shape.numel da) in
+  let* vb = gen_specials (Shape.numel db) in
+  return (da, va, db, vb)
+
+let broadcast_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"add/mul broadcast: flat strides bitwise-equal oracle"
+       ~count:200
+       (QCheck.make
+          ~print:(fun (da, _, db, _) -> dims_str da ^ " op " ^ dims_str db)
+          gen_broadcast)
+       (fun (da, va, db, vb) ->
+         let a = tensor_of da va and b = tensor_of db vb in
+         List.for_all
+           (fun (x, y) ->
+             bits_equal (Oracle.add x y) (Ops.add x y)
+             && bits_equal (Oracle.mul x y) (Ops.mul x y))
+           [ (a, b); (b, a) ]))
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
+      l
+
+let permute_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"permute: every axis order bitwise-equals oracle"
+       ~count:60
+       (QCheck.make ~print:(fun (d, _) -> dims_str d)
+          QCheck.Gen.(
+            gen_dims ~lo:2 ~hi:4 >>= fun d ->
+            gen_specials (Shape.numel d) >|= fun v -> (d, v)))
+       (fun (d, v) ->
+         let t = tensor_of d v in
+         (match d with
+         | [ _; _ ] ->
+           if not (bits_equal (Oracle.transpose2d t) (Ops.transpose2d t)) then
+             QCheck.Test.fail_reportf "transpose2d diverges on %s" (dims_str d)
+         | _ -> ());
+         List.for_all
+           (fun perm ->
+             bits_equal (Oracle.permute t perm) (Ops.permute t perm)
+             || QCheck.Test.fail_reportf "perm [%s] diverges on %s"
+                  (String.concat ";" (List.map string_of_int perm))
+                  (dims_str d))
+           (permutations (List.init (List.length d) Fun.id))))
+
+let concat_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"concat: every axis bitwise-equals oracle" ~count:60
+       (QCheck.make ~print:(fun (d, _) -> dims_str d)
+          QCheck.Gen.(
+            gen_dims ~lo:1 ~hi:4 >>= fun d ->
+            list_repeat (List.length d) (int_range 1 3) >|= fun extra -> (d, extra)))
+       (fun (d, extra) ->
+         let rng = Rng.create (Hashtbl.hash (d, extra)) in
+         List.for_all
+           (fun axis ->
+             let db = List.mapi (fun i x -> if i = axis then List.nth extra i else x) d in
+             let a = Tensor.rand rng (Shape.of_list d) ~lo:(-1.) ~hi:1. in
+             let b = Tensor.rand rng (Shape.of_list db) ~lo:(-1.) ~hi:1. in
+             bits_equal (Oracle.concat a b ~axis) (Ops.concat a b ~axis)
+             && bits_equal (Oracle.concat b a ~axis) (Ops.concat b a ~axis))
+           (List.init (List.length d) Fun.id)))
+
+type pool_case = {
+  pdims : int list;  (* n; c; h; w *)
+  k : int; pstride : int; ppad : int;
+  pv : float array;
+}
+
+(* pad up to k, so windows clip at the borders and can lie wholly in the
+   padding (maxpool then yields -inf, avgpool 0) *)
+let gen_pool =
+  let open QCheck.Gen in
+  let* k = int_range 1 3 in
+  let* pstride = int_range 1 3 in
+  let* ppad = int_range 0 k in
+  let* n = int_range 1 2 in
+  let* c = int_range 1 3 in
+  let* h = int_range (max 1 (k - (2 * ppad))) 7 in
+  let* w = int_range (max 1 (k - (2 * ppad))) 7 in
+  let pdims = [ n; c; h; w ] in
+  let* pv = gen_specials (Shape.numel pdims) in
+  return { pdims; k; pstride; ppad; pv }
+
+let print_pool c =
+  Printf.sprintf "%s k=%d s=%d p=%d" (dims_str c.pdims) c.k c.pstride c.ppad
+
+let pool_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"max/avg pools: index arithmetic bitwise-equals oracle"
+       ~count:150
+       (QCheck.make ~print:print_pool gen_pool)
+       (fun c ->
+         let t = tensor_of c.pdims c.pv in
+         let k = c.k and stride = c.pstride and pad = c.ppad in
+         bits_equal (Oracle.maxpool2d t ~k ~stride ~pad) (Ops.maxpool2d t ~k ~stride ~pad ())
+         && bits_equal (Oracle.avgpool2d t ~k ~stride ~pad)
+              (Ops.avgpool2d t ~k ~stride ~pad ())
+         && bits_equal (Oracle.avgpool_global t) (Ops.avgpool_global t)))
+
+let attention_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"attention: flat causal mask bitwise-equals oracle"
+       ~count:40
+       QCheck.(triple (int_range 1 5) (int_range 0 4) (int_range 1 6))
+       (fun (m, extra, d) ->
+         let l = m + extra in
+         let rng = Rng.create ((m * 100) + (extra * 10) + d) in
+         let mk rows = Tensor.rand rng (Shape.of_list [ rows; d ]) ~lo:(-1.) ~hi:1. in
+         let q = mk m and k = mk l and v = mk l in
+         List.for_all
+           (fun causal ->
+             bits_equal (Oracle.attention ~q ~k ~v ~causal) (Ops.attention ~q ~k ~v ~causal ()))
+           [ false; true ]))
+
+(* Exec's Embedding node against the oracle: ids of rank 1..3 *)
+let embedding_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"embedding: row blits bitwise-equal oracle" ~count:40
+       (QCheck.make ~print:(fun (ids, vocab, d) -> Printf.sprintf "ids %s vocab %d d %d" (dims_str ids) vocab d)
+          QCheck.Gen.(triple (gen_dims ~lo:1 ~hi:3) (int_range 1 6) (int_range 1 5)))
+       (fun (ids_dims, vocab, d) ->
+         let module B = Cim_nnir.Builder in
+         let rng = Rng.create (Hashtbl.hash (ids_dims, vocab, d)) in
+         let ids_shape = Shape.of_list ids_dims in
+         let ids =
+           Tensor.create ids_shape
+             (Array.init (Shape.numel ids_shape) (fun _ -> float_of_int (Rng.int rng vocab)))
+         in
+         let wshape = Shape.of_list [ vocab; d ] in
+         let w = Tensor.rand rng wshape ~lo:(-1.) ~hi:1. in
+         let b = B.create "embed" in
+         let x = B.input b "ids" ids_shape in
+         let table = B.weight ~value:w b "table" wshape in
+         let g = B.finish b ~outputs:[ B.embedding b x table ] in
+         match Cim_nnir.Exec.run_outputs g [ ("ids", ids) ] with
+         | [ (_, got) ] -> bits_equal (Oracle.embedding ids w) got
+         | _ -> false))
+
+let test_rand_draw_order () =
+  (* Tensor.rand is the row-major sequence of Rng.float draws, and leaves
+     the generator where the oracle (and the explicit draws) leave it *)
+  List.iter
+    (fun dims ->
+      let shape = Shape.of_list dims in
+      let r1 = Rng.create 11 and r2 = Rng.create 11 and r3 = Rng.create 11 in
+      let got = Tensor.rand r1 shape ~lo:(-0.5) ~hi:0.5 in
+      let oracle = Oracle.rand r2 shape ~lo:(-0.5) ~hi:0.5 in
+      let draws = Array.init (Shape.numel shape) (fun _ -> -0.5 +. Rng.float r3 (0.5 -. -0.5)) in
+      let label = dims_str dims in
+      Alcotest.(check bool) (label ^ ": = oracle") true (bits_equal oracle got);
+      Alcotest.(check bool) (label ^ ": = explicit draws") true
+        (float_bits_equal draws (Tensor.data got));
+      Alcotest.(check int) (label ^ ": generator state") (Rng.int r2 1_000_000)
+        (Rng.int r1 1_000_000))
+    [ []; [ 1 ]; [ 7 ]; [ 3; 5 ]; [ 2; 3; 4; 5 ] ]
+
 (* ---- batched matmul = looped 2-d (offset-indexing regression) ------------- *)
 
 let test_batched_vs_looped () =
@@ -313,7 +512,27 @@ let sim_cases () =
   let mlp_x = Tensor.rand rng (Shape.of_list [ 2; 64 ]) ~lo:(-1.) ~hi:1. in
   let cnn = Cim_models.Cnn.tiny_cnn ~rng ~batch:2 () in
   let cnn_x = Tensor.rand rng (Shape.of_list [ 2; 2; 8; 8 ]) ~lo:(-1.) ~hi:1. in
-  [ ("mlp", mlp, [ ("x", mlp_x) ]); ("tiny-cnn", cnn, [ ("image", cnn_x) ]) ]
+  (* one tiny-transformer decode block with a KV cache: Concat, Transpose,
+     broadcast Add and Softmax on the vector path *)
+  let rng = Rng.create 37 in
+  let block =
+    Cim_models.Transformer.build_layer (Cim_models.Transformer.tiny ())
+      (Cim_models.Workload.decode ~batch:1 4) ~layer_index:0
+    |> Cim_nnir.Graph.with_random_values rng
+  in
+  let block_inputs =
+    List.map
+      (fun (n, shape) -> (n, Tensor.rand rng shape ~lo:(-1.) ~hi:1.))
+      block.Cim_nnir.Graph.graph_inputs
+  in
+  (* a depthwise conv: per-group sub-operator slices, then both pools *)
+  let rng = Rng.create 41 in
+  let dw = T_sim.depthwise_graph rng in
+  let dw_x = Tensor.rand rng (Shape.of_list [ 1; 8; 6; 6 ]) ~lo:(-1.) ~hi:1. in
+  [ ("mlp", mlp, [ ("x", mlp_x) ]);
+    ("tiny-cnn", cnn, [ ("image", cnn_x) ]);
+    ("tiny-transformer", block, block_inputs);
+    ("depthwise", dw, [ ("image", dw_x) ]) ]
 
 let sim_digests () =
   List.map
@@ -374,6 +593,13 @@ let suite =
       qmatmul_differential;
       conv_differential;
       im2col_differential;
+      broadcast_differential;
+      permute_differential;
+      concat_differential;
+      pool_differential;
+      attention_differential;
+      embedding_differential;
+      Alcotest.test_case "Tensor.rand = Rng.float draws" `Quick test_rand_draw_order;
       Alcotest.test_case "batched matmul = looped 2-d" `Quick test_batched_vs_looped;
       Alcotest.test_case "quantisation edges" `Quick test_quant_edges;
       Alcotest.test_case "functional sim byte-identity" `Quick test_sim_byte_identity;

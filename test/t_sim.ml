@@ -178,6 +178,81 @@ let test_functional_missing_slice () =
   | exception Functional.Error _ -> ()
   | _ -> Alcotest.fail "expected a coverage error"
 
+(* MobileNet-style depthwise separable block: a depthwise conv (groups =
+   channels, one output column per group), a pointwise conv, then both
+   pool kinds. Shared with the functional-sim golden in t_kernels. *)
+let depthwise_graph rng =
+  let module B = Cim_nnir.Builder in
+  let b = B.create "depthwise" in
+  let weight name dims =
+    let shape = Shape.of_list dims in
+    B.weight ~value:(Tensor.rand rng shape ~lo:(-0.5) ~hi:0.5) b name shape
+  in
+  let x = B.input b "image" (Shape.of_list [ 1; 8; 6; 6 ]) in
+  let dw = weight "dw" [ 8; 1; 3; 3 ] in
+  let dw_bias = weight "dw_b" [ 8 ] in
+  let h = B.relu6 b (B.conv b x dw ~bias:dw_bias ~stride:1 ~pad:1 ~groups:8 ()) in
+  let pw = weight "pw" [ 16; 8; 1; 1 ] in
+  let h = B.conv b h pw ~stride:1 ~pad:0 () in
+  let h = B.maxpool b h ~k:3 ~stride:2 ~pad:1 () in
+  B.finish b ~outputs:[ B.global_avg_pool b h ]
+
+let test_functional_depthwise () =
+  (* a grouped conv's slices are per-group columns [0, oc/groups): the
+     coverage check must read them per group, and every group's channels
+     must be published *)
+  let rng = Rng.create 27 in
+  let g = depthwise_graph rng in
+  let x = Tensor.rand rng (Shape.of_list [ 1; 8; 6; 6 ]) ~lo:(-1.) ~hi:1. in
+  ignore (functional_check ~tol:0.30 "depthwise" g [ ("image", x) ])
+
+let test_functional_grouped_missing_slice () =
+  (* groups = 2 with 100 output columns per group on a 4-array chip: each
+     group's stationary matrix splits into column chunks [0:80) [80:100) *)
+  let chip = Config.scaled chip ~n_arrays:4 in
+  let rng = Rng.create 28 in
+  let module B = Cim_nnir.Builder in
+  let b = B.create "grouped" in
+  let wshape = Shape.of_list [ 200; 1; 1; 1 ] in
+  let x = B.input b "image" (Shape.of_list [ 1; 2; 3; 3 ]) in
+  let w = B.weight ~value:(Tensor.rand rng wshape ~lo:(-0.5) ~hi:0.5) b "w" wshape in
+  let g = B.finish b ~outputs:[ B.conv b x w ~stride:1 ~pad:0 ~groups:2 () ] in
+  let inputs = [ ("image", Tensor.rand rng (Shape.of_list [ 1; 2; 3; 3 ]) ~lo:(-1.) ~hi:1.) ] in
+  let r = Cmswitch.compile chip g in
+  let slices = ref [] in
+  let rec collect (i : Flow.instr) =
+    match i with
+    | Flow.Parallel is -> List.iter collect is
+    | Flow.Compute { slice; _ } -> slices := (slice.Flow.lo, slice.Flow.hi) :: !slices
+    | _ -> ()
+  in
+  List.iter collect r.Cmswitch.program.Flow.instrs;
+  Alcotest.(check (list (pair int int))) "per-group column chunks, one per group"
+    [ (0, 80); (0, 80); (80, 100); (80, 100) ]
+    (List.sort compare !slices);
+  let rep = Functional.run chip g r.Cmswitch.program ~inputs in
+  Alcotest.(check bool) "whole program matches reference" true
+    (rep.Functional.max_rel_err < 0.05);
+  (* drop the [80:100) chunk of every group: columns 80..99 of each group
+     are then computed by no sub-operator *)
+  let rec drop (i : Flow.instr) =
+    match i with
+    | Flow.Parallel is -> [ Flow.Parallel (List.concat_map drop is) ]
+    | Flow.Compute { slice = { Flow.lo = 80; _ }; _ } -> []
+    | other -> [ other ]
+  in
+  let broken =
+    { r.Cmswitch.program with
+      Flow.instrs = List.concat_map drop r.Cmswitch.program.Flow.instrs }
+  in
+  match Functional.run chip g broken ~inputs with
+  | exception Functional.Error m ->
+    let needle = "do not cover" in
+    let n = String.length needle in
+    let rec found i = i + n <= String.length m && (String.sub m i n = needle || found (i + 1)) in
+    Alcotest.(check bool) ("coverage error: " ^ m) true (found 0)
+  | _ -> Alcotest.fail "expected a coverage error"
+
 (* --- timing --- *)
 
 let test_timing_matches_schedule () =
@@ -250,6 +325,9 @@ let suite =
         test_functional_rejects_broken_program;
       Alcotest.test_case "functional: missing slice detected" `Quick
         test_functional_missing_slice;
+      Alcotest.test_case "functional: depthwise conv" `Quick test_functional_depthwise;
+      Alcotest.test_case "functional: grouped conv missing slice" `Quick
+        test_functional_grouped_missing_slice;
       Alcotest.test_case "timing = schedule" `Slow test_timing_matches_schedule;
       Alcotest.test_case "timing write-back semantics" `Quick test_timing_writeback_semantics;
       Alcotest.test_case "timing empty program" `Quick test_timing_empty;
