@@ -60,9 +60,10 @@ let run () =
           Table.cell_speedup (tb /. tg);
           (if identical then "yes" else "NO") ];
       let qa = Quant.quantize a and qb = Quant.quantize b in
-      let qbox, tb = best 3 (fun () -> Oracle.qmatmul qa qb) in
+      let oa = Oracle.box qa and ob = Oracle.box qb in
+      let qbox, tb = best 3 (fun () -> Oracle.qmatmul oa ob) in
       let qbig, tg = best 3 (fun () -> Quant.matmul qa qb) in
-      let identical = qbox.Quant.values = qbig.Quant.values in
+      let identical = Oracle.qtensor_equal qbox qbig in
       Table.add_row tbl
         [ "int8"; Printf.sprintf "%dx%dx%d" m k n;
           Table.cell_f ~digits:2 (tb /. macs *. 1e9);

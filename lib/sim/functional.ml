@@ -27,32 +27,30 @@ exception Error of string
 let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 (* int8 matrix multiply as the compute array performs it, lifted back to
-   float tensors; handles the batched layouts of Ops.matmul. *)
+   float tensors; handles the batched layouts of Ops.matmul. Batch slices
+   are quantized in place, each [a] slice with its own per-tensor scale;
+   a [b] shared by every slice is quantized once. *)
 let qmatmul a b =
-  let mm2 x y = Quant.dequantize (Quant.matmul (Quant.quantize x) (Quant.quantize y)) in
+  let mm2 qa qb = Quant.dequantize (Quant.matmul qa qb) in
+  let batched bd ~m ~n slice =
+    let out = Tensor.zeros (Shape.of_list [ bd; m; n ]) in
+    for bi = 0 to bd - 1 do
+      Array.blit (Tensor.data (slice bi)) 0 (Tensor.data out) (bi * m * n) (m * n)
+    done;
+    out
+  in
+  let da = Tensor.data a and db = Tensor.data b in
   match (Tensor.shape a, Tensor.shape b) with
-  | [ _; _ ], [ _; _ ] -> mm2 a b
+  | [ _; _ ], [ _; _ ] -> mm2 (Quant.quantize a) (Quant.quantize b)
   | [ bd; m; k ], [ k'; n ] when k = k' ->
-    let out = Tensor.zeros (Shape.of_list [ bd; m; n ]) in
-    for bi = 0 to bd - 1 do
-      let sub =
-        Tensor.create (Shape.of_list [ m; k ]) (Array.sub (Tensor.data a) (bi * m * k) (m * k))
-      in
-      Array.blit (Tensor.data (mm2 sub b)) 0 (Tensor.data out) (bi * m * n) (m * n)
-    done;
-    out
+    let qb = Quant.quantize b in
+    batched bd ~m ~n (fun bi ->
+        mm2 (Quant.quantize_slice da ~off:(bi * m * k) (Shape.of_list [ m; k ])) qb)
   | [ bd; m; k ], [ bd'; k'; n ] when k = k' && bd = bd' ->
-    let out = Tensor.zeros (Shape.of_list [ bd; m; n ]) in
-    for bi = 0 to bd - 1 do
-      let suba =
-        Tensor.create (Shape.of_list [ m; k ]) (Array.sub (Tensor.data a) (bi * m * k) (m * k))
-      in
-      let subb =
-        Tensor.create (Shape.of_list [ k; n ]) (Array.sub (Tensor.data b) (bi * k * n) (k * n))
-      in
-      Array.blit (Tensor.data (mm2 suba subb)) 0 (Tensor.data out) (bi * m * n) (m * n)
-    done;
-    out
+    batched bd ~m ~n (fun bi ->
+        mm2
+          (Quant.quantize_slice da ~off:(bi * m * k) (Shape.of_list [ m; k ]))
+          (Quant.quantize_slice db ~off:(bi * k * n) (Shape.of_list [ k; n ])))
   | sa, sb ->
     err "qmatmul: incompatible shapes %s x %s" (Shape.to_string sa) (Shape.to_string sb)
 

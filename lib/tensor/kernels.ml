@@ -146,28 +146,29 @@ let matmul2d a aoff b boff ~m ~k ~n =
   par_chunks ~threshold:par_threshold_macs ~work:(m * k * n) m rows;
   out
 
-let pack_i8 v len =
-  let p = BA.Array1.create BA.int8_signed BA.c_layout len in
-  for i = 0 to len - 1 do
-    BA.Array1.unsafe_set p i (Array.unsafe_get v i)
-  done;
-  p
+(* The full element kind on every int8 parameter is what lets ocamlopt
+   compile each access to an inline byte load; an access whose kind is not
+   known statically becomes a C call. *)
+type i8 = (int, BA.int8_signed_elt, BA.c_layout) BA.Array1.t
 
-(* The int8 matmul runs in float64: every product is in [-2^14, 2^14] and
-   the accumulator magnitude is bounded by 2^14 * k < 2^53 for any feasible
-   k, so the float pipeline computes the integer dot products exactly —
-   and float mul/add beats OCaml's tagged-int arithmetic by ~2x. Operands
-   are converted once ([m*k + k*n] cvts, amortised over [m] rows); the
-   zero-skip is dropped because all values are finite, so the adds it
-   avoids contribute exactly 0. *)
-let qmatmul2d_f a b ~m ~k ~n =
-  let af = Array.make (m * k) 0. and bf = Array.make (k * n) 0. in
-  for i = 0 to (m * k) - 1 do
-    Array.unsafe_set af i (float_of_int (Array.unsafe_get a i))
+let create_i8 len : i8 = BA.Array1.create BA.int8_signed BA.c_layout len
+
+let widen (v : i8) len =
+  let f = Array.create_float len in
+  for i = 0 to len - 1 do
+    Array.unsafe_set f i (float_of_int (BA.Array1.unsafe_get v i))
   done;
-  for i = 0 to (k * n) - 1 do
-    Array.unsafe_set bf i (float_of_int (Array.unsafe_get b i))
-  done;
+  f
+
+(* The wide int8 matmul runs in float64: every product is in [-2^14, 2^14]
+   and the accumulator magnitude is bounded by 2^14 * k < 2^53 for any
+   feasible k, so the float pipeline computes the integer dot products
+   exactly — and float mul/add beats OCaml's tagged-int arithmetic by ~2x.
+   Operands are widened once ([m*k + k*n] cvts, amortised over [m] rows).
+   The [av <> 0.] skip is exact: an integer-valued accumulator that starts
+   at +0 never becomes -0, and [int_of_float] maps both zeros to 0. *)
+let qmatmul2d_f (a : i8) (b : i8) ~m ~k ~n =
+  let af = widen a (m * k) and bf = widen b (k * n) in
   let out = Array.make (m * n) 0. in
   let rows r0 r1 =
     let p0 = ref 0 in
@@ -189,15 +190,17 @@ let qmatmul2d_f a b ~m ~k ~n =
           and c7 = ref (Array.unsafe_get out (obase + 7)) in
           for p = !p0 to phi - 1 do
             let av = Array.unsafe_get af (abase + p) in
-            let bb = (p * n) + j0 in
-            c0 := !c0 +. (av *. Array.unsafe_get bf bb);
-            c1 := !c1 +. (av *. Array.unsafe_get bf (bb + 1));
-            c2 := !c2 +. (av *. Array.unsafe_get bf (bb + 2));
-            c3 := !c3 +. (av *. Array.unsafe_get bf (bb + 3));
-            c4 := !c4 +. (av *. Array.unsafe_get bf (bb + 4));
-            c5 := !c5 +. (av *. Array.unsafe_get bf (bb + 5));
-            c6 := !c6 +. (av *. Array.unsafe_get bf (bb + 6));
-            c7 := !c7 +. (av *. Array.unsafe_get bf (bb + 7))
+            if av <> 0. then begin
+              let bb = (p * n) + j0 in
+              c0 := !c0 +. (av *. Array.unsafe_get bf bb);
+              c1 := !c1 +. (av *. Array.unsafe_get bf (bb + 1));
+              c2 := !c2 +. (av *. Array.unsafe_get bf (bb + 2));
+              c3 := !c3 +. (av *. Array.unsafe_get bf (bb + 3));
+              c4 := !c4 +. (av *. Array.unsafe_get bf (bb + 4));
+              c5 := !c5 +. (av *. Array.unsafe_get bf (bb + 5));
+              c6 := !c6 +. (av *. Array.unsafe_get bf (bb + 6));
+              c7 := !c7 +. (av *. Array.unsafe_get bf (bb + 7))
+            end
           done;
           Array.unsafe_set out obase !c0;
           Array.unsafe_set out (obase + 1) !c1;
@@ -215,10 +218,9 @@ let qmatmul2d_f a b ~m ~k ~n =
           let abase = i * k in
           let c = ref (Array.unsafe_get out ((i * n) + j)) in
           for p = !p0 to phi - 1 do
-            c :=
-              !c
-              +. (Array.unsafe_get af (abase + p)
-                 *. Array.unsafe_get bf ((p * n) + j))
+            let av = Array.unsafe_get af (abase + p) in
+            if av <> 0. then
+              c := !c +. (av *. Array.unsafe_get bf ((p * n) + j))
           done;
           Array.unsafe_set out ((i * n) + j) !c
         done
@@ -229,12 +231,10 @@ let qmatmul2d_f a b ~m ~k ~n =
   par_chunks ~threshold:par_threshold_macs ~work:(m * k * n) m rows;
   Array.map int_of_float out
 
-(* Few-row (decode-shaped) calls: the [k*n] operand conversion above would
-   dominate, so stream [b] from a dense int8 Bigarray pack instead — 8x
-   denser than the boxed int rows, and packing is one byte store per
-   element. *)
-let qmatmul2d_i8 a b ~m ~k ~n =
-  let a8 = pack_i8 a (m * k) and b8 = pack_i8 b (k * n) in
+(* Few-row (decode-shaped) calls: widening the [k*n] operand above would
+   dominate, so stream both int8 operands as they are — one byte per
+   element — with native-int accumulators. *)
+let qmatmul2d_i8 (a : i8) (b : i8) ~m ~k ~n =
   let out = Array.make (m * n) 0 in
   let rows r0 r1 =
     let p0 = ref 0 in
@@ -255,17 +255,17 @@ let qmatmul2d_i8 a b ~m ~k ~n =
           and c6 = ref (Array.unsafe_get out (obase + 6))
           and c7 = ref (Array.unsafe_get out (obase + 7)) in
           for p = !p0 to phi - 1 do
-            let av = BA.Array1.unsafe_get a8 (abase + p) in
+            let av = BA.Array1.unsafe_get a (abase + p) in
             if av <> 0 then begin
               let bb = (p * n) + j0 in
-              c0 := !c0 + (av * BA.Array1.unsafe_get b8 bb);
-              c1 := !c1 + (av * BA.Array1.unsafe_get b8 (bb + 1));
-              c2 := !c2 + (av * BA.Array1.unsafe_get b8 (bb + 2));
-              c3 := !c3 + (av * BA.Array1.unsafe_get b8 (bb + 3));
-              c4 := !c4 + (av * BA.Array1.unsafe_get b8 (bb + 4));
-              c5 := !c5 + (av * BA.Array1.unsafe_get b8 (bb + 5));
-              c6 := !c6 + (av * BA.Array1.unsafe_get b8 (bb + 6));
-              c7 := !c7 + (av * BA.Array1.unsafe_get b8 (bb + 7))
+              c0 := !c0 + (av * BA.Array1.unsafe_get b bb);
+              c1 := !c1 + (av * BA.Array1.unsafe_get b (bb + 1));
+              c2 := !c2 + (av * BA.Array1.unsafe_get b (bb + 2));
+              c3 := !c3 + (av * BA.Array1.unsafe_get b (bb + 3));
+              c4 := !c4 + (av * BA.Array1.unsafe_get b (bb + 4));
+              c5 := !c5 + (av * BA.Array1.unsafe_get b (bb + 5));
+              c6 := !c6 + (av * BA.Array1.unsafe_get b (bb + 6));
+              c7 := !c7 + (av * BA.Array1.unsafe_get b (bb + 7))
             end
           done;
           Array.unsafe_set out obase !c0;
@@ -284,8 +284,8 @@ let qmatmul2d_i8 a b ~m ~k ~n =
           let abase = i * k in
           let c = ref (Array.unsafe_get out ((i * n) + j)) in
           for p = !p0 to phi - 1 do
-            let av = BA.Array1.unsafe_get a8 (abase + p) in
-            if av <> 0 then c := !c + (av * BA.Array1.unsafe_get b8 ((p * n) + j))
+            let av = BA.Array1.unsafe_get a (abase + p) in
+            if av <> 0 then c := !c + (av * BA.Array1.unsafe_get b ((p * n) + j))
           done;
           Array.unsafe_set out ((i * n) + j) !c
         done
@@ -297,7 +297,7 @@ let qmatmul2d_i8 a b ~m ~k ~n =
   out
 
 (* Both variants compute the same integers exactly; pick by whether the
-   one-off operand conversion amortises over enough output rows. *)
+   one-off operand widening amortises over enough output rows. *)
 let qmatmul2d a b ~m ~k ~n =
   if m >= 8 then qmatmul2d_f a b ~m ~k ~n else qmatmul2d_i8 a b ~m ~k ~n
 
@@ -335,27 +335,27 @@ let im2col src soff ~c ~h ~w ~kh ~kw ~stride ~pad ~oh ~ow ~dst ~dst_row0 =
     done
   done
 
-let max_abs v =
-  let len = Array.length v in
+(* A nan anywhere makes the result nan (the last one seen, as a fold with
+   [Float.max] gives), so a nan input cannot hide behind a finite scale. *)
+let max_abs v ~off ~len =
   let seg lo hi =
-    let m = ref 0. in
-    for i = lo to hi - 1 do
+    let m = ref 0. and nan = ref 0. in
+    for i = off + lo to off + hi - 1 do
       let x = Float.abs (Array.unsafe_get v i) in
-      if x > !m then m := x
+      if x > !m then m := x else if x <> x then nan := x
     done;
-    !m
+    if Float.is_nan !nan then !nan else !m
   in
   par_reduce ~threshold:par_threshold_elems ~work:len len ~init:0. ~seg
     ~merge:Float.max
 
-let quantize_values v ~scale =
-  let len = Array.length v in
-  let out = Array.make len 0 in
+let quantize_values v ~off ~len ~scale =
+  let out = create_i8 len in
   par_chunks ~threshold:par_threshold_elems ~work:len len (fun lo hi ->
       for i = lo to hi - 1 do
-        Array.unsafe_set out i
+        BA.Array1.unsafe_set out i
           (clamp_i8
-             (int_of_float (Float.round (Array.unsafe_get v i /. scale))))
+             (int_of_float (Float.round (Array.unsafe_get v (off + i) /. scale))))
       done);
   out
 
@@ -374,10 +374,10 @@ let max_abs_int v =
 
 let requantize_values acc ~in_scale ~scale =
   let len = Array.length acc in
-  let out = Array.make len 0 in
+  let out = create_i8 len in
   par_chunks ~threshold:par_threshold_elems ~work:len len (fun lo hi ->
       for i = lo to hi - 1 do
-        Array.unsafe_set out i
+        BA.Array1.unsafe_set out i
           (clamp_i8
              (int_of_float
                 (Float.round

@@ -2,14 +2,19 @@
     2-d matrix multiply (float and int8), im2col and the element-wise
     quantisation passes — as cache-blocked loops with unsafe accesses.
 
-    The int8 path packs both operands into [Bigarray] int8 buffers (8x
-    denser than the boxed [int array], one byte per element) and runs
-    cache-blocked loops, accumulating in native OCaml ints — wider than the
-    int32 a real CIM periphery carries, deliberately, so the result is
-    {e exactly} the naive loop's for any reduction depth; the float64 path
-    runs the same cache-blocked unsafe loops directly over the unboxed OCaml
-    float arrays (already flat binary64 storage — a copy into a Bigarray
-    would only add O(mk + kn) traffic for zero layout gain).
+    Quantised values live in {!i8} Bigarrays, one byte per value, from the
+    quantisation pass through the int8 matmul to requantisation; no
+    [int array] of operand size is ever built. The int8 matmul picks one
+    of two exact routes by the number of output rows: few-row
+    (decode-shaped) calls stream both int8 operands directly and
+    accumulate in native OCaml ints — wider than the int32 a real CIM
+    periphery carries, deliberately, so the result is {e exactly} the
+    naive loop's for any reduction depth; calls with eight or more rows
+    widen both operands once to float64 and run the float pipeline, which
+    is exact for int8 products at any feasible depth. The float64 path
+    runs the same cache-blocked unsafe loops directly over the unboxed
+    OCaml float arrays (already flat binary64 storage — a copy into a
+    Bigarray would only add O(mk + kn) traffic for zero layout gain).
 
     Identity contract: for every kernel and every input, the result is
     {e bitwise identical} to the naive seed loop (safe accesses, ascending
@@ -48,17 +53,23 @@ val matmul2d :
     offsets are how the batched {!Ops.matmul} cases index slices without
     per-batch copies. *)
 
-val qmatmul2d : int array -> int array -> m:int -> k:int -> n:int -> int array
-(** Int8 matmul with wide accumulation: operands are int8 {e values} (each
-    in [-128, 127], as {!Quant.qtensor}). Returns the raw [m*n]
+type i8 = (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Int8 values, one byte each. Spelled out in full so that every access
+    in a kernel compiles to an inline load. *)
+
+val qmatmul2d : i8 -> i8 -> m:int -> k:int -> n:int -> int array
+(** Int8 matmul with wide accumulation over the [m*k] and [k*n] row-major
+    int8 operands (as {!Quant.qtensor}). Returns the raw [m*n]
     accumulator array (feed it to {!Quant.requantize}); exactly equal to
     the naive oracle's accumulators, by two routes. Wide calls (m >= 8)
-    run on the float64 pipeline — every product is within ±2^14 and every
-    accumulator within 2^14 * k < 2^53, so float arithmetic computes the
-    integer dot products exactly while beating tagged-int arithmetic ~2x.
-    Narrow (decode-shaped) calls, where converting the [k*n] operand would
-    dominate, stream [b] from a dense int8 Bigarray pack with native-int
-    accumulators instead. *)
+    widen both operands to float64 once and run the float pipeline —
+    every product is within ±2^14 and every accumulator within
+    2^14 * k < 2^53, so float arithmetic computes the integer dot
+    products exactly while beating tagged-int arithmetic ~2x; it skips
+    zero left-operand values like the oracle, which is exact because an
+    integer-valued sum never becomes -0. Narrow (decode-shaped) calls,
+    where widening the [k*n] operand would dominate, stream both int8
+    operands as they are with native-int accumulators. *)
 
 val im2col :
   float array -> int -> c:int -> h:int -> w:int -> kh:int -> kw:int ->
@@ -70,17 +81,18 @@ val im2col :
     zero-padding out-of-bounds taps, with unsafe accesses and contiguous
     inner-row copies. *)
 
-val max_abs : float array -> float
-(** Max absolute value, 0 on the empty array (chunk-parallel; max is
+val max_abs : float array -> off:int -> len:int -> float
+(** Max absolute value of the [len] elements from [off], 0 when [len = 0]
+    and nan when any of them is nan (chunk-parallel; max is
     order-independent, so exact). *)
 
-val quantize_values : float array -> scale:float -> int array
-(** Element-wise [clamp_i8 (int_of_float (Float.round (x /. scale)))],
-    chunk-parallel. *)
+val quantize_values : float array -> off:int -> len:int -> scale:float -> i8
+(** Element-wise [clamp_i8 (int_of_float (Float.round (x /. scale)))] over
+    the [len] elements from [off], chunk-parallel. *)
 
 val max_abs_int : int array -> int
 
-val requantize_values : int array -> in_scale:float -> scale:float -> int array
+val requantize_values : int array -> in_scale:float -> scale:float -> i8
 (** Element-wise
     [clamp_i8 (int_of_float (Float.round (float v *. in_scale /. scale)))],
     chunk-parallel. *)

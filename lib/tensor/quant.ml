@@ -1,27 +1,35 @@
-type qtensor = { values : int array; scale : float; shape : Shape.t }
+module BA = Stdlib.Bigarray
+
+type qtensor = { values : Kernels.i8; scale : float; shape : Shape.t }
 
 let clamp_i8 = Kernels.clamp_i8
 
-let quantize t =
-  let max_abs = Kernels.max_abs (Tensor.data t) in
+let quantize_slice data ~off shape =
+  let len = Shape.numel shape in
+  if off < 0 || off + len > Array.length data then
+    invalid_arg "Quant.quantize_slice: slice out of bounds";
+  let max_abs = Kernels.max_abs data ~off ~len in
   let scale = if max_abs = 0. then 1. else max_abs /. 127. in
-  { values = Kernels.quantize_values (Tensor.data t) ~scale;
-    scale;
-    shape = Tensor.shape t }
+  { values = Kernels.quantize_values data ~off ~len ~scale; scale; shape }
+
+let quantize t = quantize_slice (Tensor.data t) ~off:0 (Tensor.shape t)
 
 let dequantize q =
-  Tensor.create q.shape (Array.map (fun v -> float_of_int v *. q.scale) q.values)
+  let v = q.values in
+  let data = Array.create_float (BA.Array1.dim v) in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (float_of_int (BA.Array1.unsafe_get v i) *. q.scale)
+  done;
+  Tensor.create q.shape data
 
 let requantize acc shape ~in_scale =
   if not (in_scale > 0.) then
     invalid_arg "Quant.requantize: in_scale must be positive";
   let max_abs = Kernels.max_abs_int acc in
-  if max_abs = 0 then { values = Array.map (fun _ -> 0) acc; scale = 1.; shape }
-  else begin
-    (* Choose the output scale so the widest accumulator maps to 127. *)
-    let scale = in_scale *. float_of_int max_abs /. 127. in
-    { values = Kernels.requantize_values acc ~in_scale ~scale; scale; shape }
-  end
+  (* Choose the output scale so the widest accumulator maps to 127; all
+     zeros keep scale 1 and requantise to zeros. *)
+  let scale = if max_abs = 0 then 1. else in_scale *. float_of_int max_abs /. 127. in
+  { values = Kernels.requantize_values acc ~in_scale ~scale; scale; shape }
 
 let matmul a b =
   match (a.shape, b.shape) with

@@ -3,7 +3,7 @@
     wide accumulation. *)
 
 type qtensor = {
-  values : int array;  (** each in [-128, 127] *)
+  values : Kernels.i8;  (** each in [-128, 127], one byte per value *)
   scale : float;       (** real = scale * value *)
   shape : Shape.t;
 }
@@ -11,6 +11,11 @@ type qtensor = {
 val quantize : Tensor.t -> qtensor
 (** Symmetric per-tensor quantisation; scale = max|x| / 127 (scale 1.0 for an
     all-zero tensor). *)
+
+val quantize_slice : float array -> off:int -> Shape.t -> qtensor
+(** [quantize_slice data ~off shape] is {!quantize} of the [numel shape]
+    elements of [data] from [off], read in place (no copy). Raises
+    [Invalid_argument] when the slice does not fit in [data]. *)
 
 val dequantize : qtensor -> Tensor.t
 

@@ -49,10 +49,8 @@ let equal ?(eps = 1e-9) a b =
 
 (* filled in row-major order, one draw per element, with no index list *)
 let rand rng shape ~lo ~hi =
-  let data = Array.make (Shape.numel shape) 0. in
-  for i = 0 to Array.length data - 1 do
-    data.(i) <- lo +. Cim_util.Rng.float rng (hi -. lo)
-  done;
+  let data = Array.create_float (Shape.numel shape) in
+  Cim_util.Rng.fill_uniform rng data ~lo ~hi;
   { shape; data }
 
 let randn rng shape ~mu ~sigma =

@@ -23,6 +23,23 @@ let float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   raw /. 9007199254740992. *. bound
 
+(* The loop keeps the state in a local and spells out [next_int64] and
+   [mix64], so the int64 arithmetic stays unboxed: a call would box both
+   the argument and the result on every draw. *)
+let fill_uniform t a ~lo ~hi =
+  let range = hi -. lo in
+  let s = ref t.state in
+  for i = 0 to Array.length a - 1 do
+    let z = Int64.add !s golden_gamma in
+    s := z;
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    let raw = Int64.to_float (Int64.shift_right_logical z 11) in
+    Array.unsafe_set a i (lo +. (raw /. 9007199254740992. *. range))
+  done;
+  t.state <- !s
+
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let int_range t lo hi =

@@ -18,6 +18,12 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] uniform in [0, bound). *)
 
+val fill_uniform : t -> float array -> lo:float -> hi:float -> unit
+(** [fill_uniform t a ~lo ~hi] writes [a] in index order with exactly the
+    values that [lo +. float t (hi -. lo)] draws one at a time, and leaves
+    [t] in the state those draws leave; it allocates nothing per
+    element. *)
+
 val bool : t -> bool
 
 val int_range : t -> int -> int -> int

@@ -103,17 +103,31 @@ let conv2d t ~weight ~bias ~stride ~pad ~groups =
     Tensor.create (Shape.of_list [ n; oc; oh; ow ]) out
   | _ -> invalid_arg "Oracle.conv2d: incompatible shapes"
 
+type qtensor = { values : int array; scale : float; shape : Shape.t }
+
+let box (q : Quant.qtensor) =
+  let v = q.Quant.values in
+  { values = Array.init (Bigarray.Array1.dim v) (Bigarray.Array1.get v);
+    scale = q.Quant.scale;
+    shape = q.Quant.shape }
+
+let qtensor_equal o q =
+  let b = box q in
+  b.values = o.values
+  && Int64.bits_of_float b.scale = Int64.bits_of_float o.scale
+  && b.shape = o.shape
+
 let quantize t =
   let max_abs = Tensor.fold (fun acc x -> Float.max acc (Float.abs x)) 0. t in
   let scale = if max_abs = 0. then 1. else max_abs /. 127. in
   let values =
     Array.map (fun x -> clamp_i8 (int_of_float (Float.round (x /. scale)))) (Tensor.data t)
   in
-  { Quant.values; scale; shape = Tensor.shape t }
+  { values; scale; shape = Tensor.shape t }
 
 let requantize acc shape ~in_scale =
   let max_abs = Array.fold_left (fun m v -> max m (abs v)) 0 acc in
-  if max_abs = 0 then { Quant.values = Array.map (fun _ -> 0) acc; scale = 1.; shape }
+  if max_abs = 0 then { values = Array.map (fun _ -> 0) acc; scale = 1.; shape }
   else begin
     let scale = in_scale *. float_of_int max_abs /. 127. in
     let values =
@@ -122,7 +136,7 @@ let requantize acc shape ~in_scale =
           clamp_i8 (int_of_float (Float.round (float_of_int v *. in_scale /. scale))))
         acc
     in
-    { Quant.values; scale; shape }
+    { values; scale; shape }
   end
 
 let qmatmul2d_boxed av bv ~m ~k ~n =
@@ -138,13 +152,13 @@ let qmatmul2d_boxed av bv ~m ~k ~n =
   done;
   acc
 
-let qmatmul (a : Quant.qtensor) (b : Quant.qtensor) =
-  match (a.Quant.shape, b.Quant.shape) with
+let qmatmul a b =
+  match (a.shape, b.shape) with
   | [ m; k ], [ k'; n ] when k = k' ->
     requantize
-      (qmatmul2d_boxed a.Quant.values b.Quant.values ~m ~k ~n)
+      (qmatmul2d_boxed a.values b.values ~m ~k ~n)
       (Shape.of_list [ m; n ])
-      ~in_scale:(a.Quant.scale *. b.Quant.scale)
+      ~in_scale:(a.scale *. b.scale)
   | _ -> invalid_arg "Oracle.qmatmul: expects [m;k] x [k;n]"
 
 (* ---- list-index data movement: the seed bodies of Ops' flat-offset

@@ -21,13 +21,24 @@ val conv2d :
     padding) inputs skipped, bias added last — so it must equal
     {!Ops.conv2d} bitwise without sharing any of its lowering. *)
 
-val quantize : Tensor.t -> Quant.qtensor
-val requantize : int array -> Shape.t -> in_scale:float -> Quant.qtensor
+type qtensor = { values : int array; scale : float; shape : Shape.t }
+(** The boxed int8 tensor of the seed: one OCaml [int] per value, where
+    {!Quant.qtensor} stores one byte. *)
+
+val box : Quant.qtensor -> qtensor
+(** Copy a runtime tensor's values into an [int array]. *)
+
+val qtensor_equal : qtensor -> Quant.qtensor -> bool
+(** Bitwise: equal length, every value equal element by element, the
+    scales' bits equal, and equal shapes. *)
+
+val quantize : Tensor.t -> qtensor
+val requantize : int array -> Shape.t -> in_scale:float -> qtensor
 
 val qmatmul2d_boxed : int array -> int array -> m:int -> k:int -> n:int -> int array
 (** Wide native-int accumulators, ascending-[p] order. *)
 
-val qmatmul : Quant.qtensor -> Quant.qtensor -> Quant.qtensor
+val qmatmul : qtensor -> qtensor -> qtensor
 (** {!Quant.matmul} over {!qmatmul2d_boxed} and {!requantize}. *)
 
 (** {2 List-index data movement}

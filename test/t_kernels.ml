@@ -86,10 +86,10 @@ let float_bits_equal x y =
         x;
       !ok)
 
-let qtensor_equal (a : Quant.qtensor) (b : Quant.qtensor) =
-  a.Quant.values = b.Quant.values
-  && Int64.bits_of_float a.Quant.scale = Int64.bits_of_float b.Quant.scale
-  && a.Quant.shape = b.Quant.shape
+let i8_of_array = Bigarray.(Array1.of_array int8_signed c_layout)
+
+let unbox (o : Oracle.qtensor) =
+  { Quant.values = i8_of_array o.values; scale = o.scale; shape = o.shape }
 
 (* ---- float matmul -------------------------------------------------------- *)
 
@@ -104,7 +104,7 @@ let matmul_differential =
                    (Tensor.data (Ops.matmul a b)))
          then QCheck.Test.fail_reportf "float bits diverge on %s" (print_mm c);
          (* the quantisation pass over the same mixed-style values *)
-         if not (qtensor_equal (Oracle.quantize a) (Quant.quantize a)) then
+         if not (Oracle.qtensor_equal (Oracle.quantize a) (Quant.quantize a)) then
            QCheck.Test.fail_reportf "quantize diverges on %s" (print_mm c);
          true))
 
@@ -141,15 +141,17 @@ let qmatmul_differential =
        (QCheck.make ~print:print_qmm gen_qmm)
        (fun c ->
          let expect = Oracle.qmatmul2d_boxed c.qa c.qb ~m:c.qm ~k:c.qk ~n:c.qn in
-         let got = Kernels.qmatmul2d c.qa c.qb ~m:c.qm ~k:c.qk ~n:c.qn in
+         let got =
+           Kernels.qmatmul2d (i8_of_array c.qa) (i8_of_array c.qb) ~m:c.qm ~k:c.qk ~n:c.qn
+         in
          if got <> expect then
            QCheck.Test.fail_reportf "accumulators diverge on %s" (print_qmm c);
          (* and through Quant.matmul, requantisation included *)
          let mk v m n =
-           { Quant.values = v; scale = 0.05; shape = Shape.of_list [ m; n ] }
+           { Oracle.values = v; scale = 0.05; shape = Shape.of_list [ m; n ] }
          in
          let qa = mk c.qa c.qm c.qk and qb = mk c.qb c.qk c.qn in
-         qtensor_equal (Oracle.qmatmul qa qb) (Quant.matmul qa qb)))
+         Oracle.qtensor_equal (Oracle.qmatmul qa qb) (Quant.matmul (unbox qa) (unbox qb))))
 
 (* ---- conv2d / im2col ----------------------------------------------------- *)
 
@@ -453,6 +455,10 @@ let test_batched_vs_looped () =
 
 (* ---- quantisation edges --------------------------------------------------- *)
 
+let quantizers =
+  [ ("oracle", fun t -> (Oracle.quantize t).Oracle.values);
+    ("runtime", fun t -> (Oracle.box (Quant.quantize t)).Oracle.values) ]
+
 let test_quant_edges () =
   (* clamp saturates at the int8 boundaries *)
   Alcotest.(check int) "clamp 127" 127 (Kernels.clamp_i8 127);
@@ -465,8 +471,8 @@ let test_quant_edges () =
     (fun (label, quantize) ->
       Alcotest.(check (array int))
         (label ^ ": boundary values")
-        [| 127; -127; 64 |] (quantize t).Quant.values)
-    [ ("oracle", Oracle.quantize); ("runtime", Quant.quantize) ];
+        [| 127; -127; 64 |] (quantize t))
+    quantizers;
   (* rounding ties go away from zero (Float.round), identically in the
      oracle and the runtime: the trailing 127 pins scale = 1, so +-0.5 and
      +-2.5 are exact ties *)
@@ -478,8 +484,8 @@ let test_quant_edges () =
     (fun (label, quantize) ->
       Alcotest.(check (array int))
         (label ^ ": ties away from zero")
-        expect (quantize ties).Quant.values)
-    [ ("oracle", Oracle.quantize); ("runtime", Quant.quantize) ];
+        expect (quantize ties))
+    quantizers;
   (* all-zero tensor quantises to scale 1, not NaN *)
   let z = Quant.quantize (Tensor.zeros (Shape.of_list [ 4 ])) in
   Alcotest.(check (float 0.)) "zero tensor scale" 1.0 z.Quant.scale;
@@ -496,13 +502,140 @@ let test_quant_edges () =
   let shape = Shape.of_list [ 6 ] in
   let q = Quant.requantize acc shape ~in_scale:1. in
   Alcotest.(check (array int)) "requantize saturation bounds and rounding"
-    [| 127; -127; 0; 43; -43; 0 |] q.Quant.values;
+    [| 127; -127; 0; 43; -43; 0 |] (Oracle.box q).Oracle.values;
   Alcotest.(check bool) "requantize = oracle" true
-    (qtensor_equal (Oracle.requantize acc shape ~in_scale:1.) q);
+    (Oracle.qtensor_equal (Oracle.requantize acc shape ~in_scale:1.) q);
   Alcotest.(check bool) "requantize all-zero = oracle" true
-    (qtensor_equal
+    (Oracle.qtensor_equal
        (Oracle.requantize [| 0; 0 |] (Shape.of_list [ 2 ]) ~in_scale:0.5)
        (Quant.requantize [| 0; 0 |] (Shape.of_list [ 2 ]) ~in_scale:0.5))
+
+(* Runs [f] with a two-job pool installed, so inputs of at least
+   [2^17] elements take the chunk-parallel quantisation route. *)
+let with_kernel_pool f =
+  Cim_util.Pool.with_pool ~jobs:2 (fun pool -> Kernels.with_pool (Some pool) f)
+
+let test_quant_slice () =
+  (* the large values outside the slice would set the scale if the offset
+     were ignored *)
+  let data = [| 100.; -50.; 3.; 0.25; -1.5; 0.75; 2.; -0.5; 1.; 9.; -99. |] in
+  let shape = Shape.of_list [ 2; 3 ] in
+  let expect off len = Oracle.quantize (Tensor.create (Shape.of_list [ len ]) (Array.sub data off len)) in
+  Alcotest.(check bool) "slice at offset 3 = oracle of the copy" true
+    (Oracle.qtensor_equal
+       { (expect 3 6) with Oracle.shape }
+       (Quant.quantize_slice data ~off:3 shape));
+  List.iter
+    (fun off ->
+      match Quant.quantize_slice data ~off shape with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "quantize_slice accepted off=%d" off)
+    [ -1; 6 ];
+  (* a large slice, chunk-parallel *)
+  let n = (1 lsl 17) + 5 and off = 12345 in
+  let big = Array.init (n + off + 7) (fun i -> float_of_int ((i * 37 mod 301) - 150) /. 7.) in
+  big.(3) <- 1e6;
+  let shape = Shape.of_list [ n ] in
+  Alcotest.(check bool) "parallel slice = oracle of the copy" true
+    (Oracle.qtensor_equal
+       (Oracle.quantize (Tensor.create shape (Array.sub big off n)))
+       (with_kernel_pool (fun () -> Quant.quantize_slice big ~off shape)))
+
+let test_quant_special_values () =
+  (* values and the scale's bits, against the oracle: ties, signed zeros,
+     nan (which makes the scale nan), infinities and a subnormal maximum
+     (whose scale rounds to zero) *)
+  let sub = 4.9e-322 in
+  let nan1 = Int64.float_of_bits 0x7FF8_0000_0000_0123L
+  and nan2 = Int64.float_of_bits 0xFFF8_0000_0000_ABCDL in
+  let cases =
+    [ ("ties", [| 0.5; -0.5; 1.5; -1.5; 2.5; -2.5; 126.5; -126.5; 127. |]);
+      ("signed zeros", [| 0.; -0.; 1.; -0. |]);
+      ("all zero", [| 0.; -0.; 0. |]);
+      ("nan", [| 1.; nan1; -2.; 0.5 |]);
+      ("two nans", [| nan1; 3.; nan2; -1. |]);
+      ("+inf", [| 1.; Float.infinity; -3. |]);
+      ("-inf", [| Float.neg_infinity; 2.; 0. |]);
+      ("subnormal max", [| sub; -.sub; sub /. 2.; 0. |]) ]
+  in
+  List.iter
+    (fun (label, values) ->
+      let t = Tensor.create (Shape.of_list [ Array.length values ]) values in
+      Alcotest.(check bool) (label ^ " = oracle") true
+        (Oracle.qtensor_equal (Oracle.quantize t) (Quant.quantize t)))
+    cases;
+  (* nans in different parallel chunks: the scale is the last one's *)
+  let n = 1 lsl 18 in
+  let big = Array.init n (fun i -> float_of_int ((i mod 200) - 100) /. 7.) in
+  big.(1000) <- nan1;
+  big.(n - 1000) <- nan2;
+  let t = Tensor.create (Shape.of_list [ n ]) big in
+  Alcotest.(check bool) "parallel nans = oracle" true
+    (Oracle.qtensor_equal (Oracle.quantize t) (with_kernel_pool (fun () -> Quant.quantize t)))
+
+let test_qmatmul_zero_rows_cols () =
+  (* the wide (m >= 8) route skips zero left-operand values: rows of [a]
+     that are all zero, zero columns of [a] and zero columns of [b] must
+     still give the oracle's accumulators and requantised tensor *)
+  let m = 12 and k = 20 and n = 11 in
+  let rng = Rng.create 5 in
+  let a =
+    Array.init (m * k) (fun idx ->
+        if idx / k mod 3 = 0 || idx mod k mod 4 = 1 then 0 else Rng.int rng 256 - 128)
+  in
+  let b = Array.init (k * n) (fun idx -> if idx mod n mod 5 = 2 then 0 else Rng.int rng 256 - 128) in
+  let zeros = Array.make (m * k) 0 in
+  List.iter
+    (fun (label, a) ->
+      Alcotest.(check (array int)) (label ^ ": accumulators")
+        (Oracle.qmatmul2d_boxed a b ~m ~k ~n)
+        (Kernels.qmatmul2d (i8_of_array a) (i8_of_array b) ~m ~k ~n);
+      let oa = { Oracle.values = a; scale = 0.03; shape = Shape.of_list [ m; k ] }
+      and ob = { Oracle.values = b; scale = 0.07; shape = Shape.of_list [ k; n ] } in
+      Alcotest.(check bool) (label ^ ": requantised = oracle") true
+        (Oracle.qtensor_equal (Oracle.qmatmul oa ob) (Quant.matmul (unbox oa) (unbox ob))))
+    [ ("zero rows and columns", a); ("all-zero a", zeros) ]
+
+let test_functional_batched_qmatmul () =
+  (* Functional's two batched layouts, [bd;m;k] x [k;n] (one shared
+     weight) and [bd;m;k] x [bd;k;n], against a per-slice Oracle.qmatmul:
+     every slice keeps its own scale *)
+  let bd = 3 and m = 4 and k = 16 and n = 8 in
+  let rng = Rng.create 43 in
+  let module B = Cim_nnir.Builder in
+  let bld = B.create "batched-matmul" in
+  let x = B.input bld "x" (Shape.of_list [ bd; m; k ]) in
+  let kv = B.input bld "kv" (Shape.of_list [ bd; k; n ]) in
+  let wshape = Shape.of_list [ k; n ] in
+  let wv = Tensor.rand rng wshape ~lo:(-0.5) ~hi:0.5 in
+  let w = B.weight ~value:wv bld "w" wshape in
+  let g = B.finish bld ~outputs:[ B.matmul bld x w; B.matmul bld x kv ] in
+  (* slice 1 is ten times larger than the others, so a shared scale shows *)
+  let xv =
+    Tensor.init (Shape.of_list [ bd; m; k ]) (fun idx ->
+        let s = if List.hd idx = 1 then 10. else 1. in
+        s *. (Rng.float rng 2. -. 1.))
+  in
+  let kvv = Tensor.rand rng (Shape.of_list [ bd; k; n ]) ~lo:(-1.) ~hi:1. in
+  let r = Cmswitch.compile chip g in
+  let rep = Functional.run chip ~jobs:1 g r.Cmswitch.program ~inputs:[ ("x", xv); ("kv", kvv) ] in
+  let slice t bi rows cols =
+    Tensor.create (Shape.of_list [ rows; cols ])
+      (Array.sub (Tensor.data t) (bi * rows * cols) (rows * cols))
+  in
+  let expect b_of =
+    Array.concat
+      (List.init bd (fun bi ->
+           let q = Oracle.qmatmul (Oracle.quantize (slice xv bi m k)) (Oracle.quantize (b_of bi)) in
+           Array.map (fun v -> float_of_int v *. q.Oracle.scale) q.Oracle.values))
+  in
+  match rep.Functional.outputs with
+  | [ (_, half); (_, full) ] ->
+    Alcotest.(check bool) "[bd;m;k] x [k;n] = per-slice oracle" true
+      (float_bits_equal (expect (fun _ -> wv)) (Tensor.data half));
+    Alcotest.(check bool) "[bd;m;k] x [bd;k;n] = per-slice oracle" true
+      (float_bits_equal (expect (fun bi -> slice kvv bi k n)) (Tensor.data full))
+  | outs -> Alcotest.failf "expected two outputs, got %d" (List.length outs)
 
 (* ---- functional simulator byte-identity ----------------------------------- *)
 
@@ -602,5 +735,9 @@ let suite =
       Alcotest.test_case "Tensor.rand = Rng.float draws" `Quick test_rand_draw_order;
       Alcotest.test_case "batched matmul = looped 2-d" `Quick test_batched_vs_looped;
       Alcotest.test_case "quantisation edges" `Quick test_quant_edges;
+      Alcotest.test_case "quantize slice at an offset" `Quick test_quant_slice;
+      Alcotest.test_case "quantize special values" `Quick test_quant_special_values;
+      Alcotest.test_case "wide qmatmul zero rows/cols" `Quick test_qmatmul_zero_rows_cols;
+      Alcotest.test_case "functional batched qmatmul" `Quick test_functional_batched_qmatmul;
       Alcotest.test_case "functional sim byte-identity" `Quick test_sim_byte_identity;
       Alcotest.test_case "functional sim golden digests" `Quick test_sim_golden ] )

@@ -138,6 +138,20 @@ let prop_shuffle_is_permutation =
       Cim_util.Rng.shuffle (Cim_util.Rng.create seed) arr;
       List.sort compare (Array.to_list arr) = List.sort compare xs)
 
+let prop_fill_uniform_is_per_draw =
+  QCheck.Test.make ~name:"fill_uniform = per-draw Rng.float, bit for bit" ~count:200
+    QCheck.(
+      quad int (int_range 0 300) (float_range (-1e3) 1e3) (float_range (-1e3) 1e3))
+    (fun (seed, len, lo, hi) ->
+      let bulk = Cim_util.Rng.create seed and draws = Cim_util.Rng.create seed in
+      let a = Array.make len Float.nan in
+      Cim_util.Rng.fill_uniform bulk a ~lo ~hi;
+      let expect = Array.init len (fun _ -> lo +. Cim_util.Rng.float draws (hi -. lo)) in
+      let bits = Array.map Int64.bits_of_float in
+      bits a = bits expect
+      && List.init 3 (fun _ -> Cim_util.Rng.next_int64 bulk)
+         = List.init 3 (fun _ -> Cim_util.Rng.next_int64 draws))
+
 (* --- Table --- *)
 
 let contains hay needle =
@@ -218,6 +232,7 @@ let suite =
       Alcotest.test_case "rng copy/split" `Quick test_rng_copy_split;
       Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian;
       qtest prop_shuffle_is_permutation;
+      qtest prop_fill_uniform_is_per_draw;
       Alcotest.test_case "table render" `Quick test_table_render;
       Alcotest.test_case "table csv" `Quick test_table_csv;
       Alcotest.test_case "table arity" `Quick test_table_arity;
