@@ -24,7 +24,7 @@ let experiments =
     ("e17", "dynamic shapes: bucketed + incremental decode-sweep compile", E17_dynshape.run);
     ("e18", "MMIO command-stream ISA: lowering + stream simulation", E18_isa.run);
     ("micro", "bechamel micro-benchmarks", Micro.run);
-    ("solver", "per-MILP solver cost, revised vs dense backend", Micro.run_solver);
+    ("solver", "per-MILP solver cost, shipped vs dense oracle", Micro.run_solver);
   ]
 
 let usage () =

@@ -37,15 +37,18 @@ let sample_lp =
 (* ---- solver micro-benchmark ---------------------------------------------- *)
 
 (* Per-MILP solver cost on real segment models (resnet18 CNN windows,
-   bert-large transformer windows), both LP backends in the same run:
-   wall-clock from repeated timed solves, pivot/refactorization counts from
-   the solver's own metrics. Emitted as a Table so `--json` captures it
-   (BENCH_solver.json in CI). *)
+   bert-large transformer windows): the shipped warm-started branch and
+   bound ("revised", at the compiler's 5e-3 gap) against the test-only
+   cold reference over the dense tableau ("dense", Oracle.milp at gap 0;
+   one LP solve per node) in the same run. Wall-clock from repeated timed
+   solves, pivot/refactorization counts from the solvers' own metrics.
+   Emitted as a Table so `--json` captures it (BENCH_solver.json in CI). *)
 
 let resnet_ops = lazy (Opinfo.extract chip (Lazy.force resnet))
 
 module Metrics = Cim_obs.Metrics
 module Milp = Cim_solver.Milp
+module Oracle = Cim_oracle.Oracle
 
 let solver_windows =
   [ ("resnet18", resnet_ops, 0, 4); ("resnet18", resnet_ops, 5, 9);
@@ -71,12 +74,12 @@ let run_solver () =
       let hi = min hi (Array.length ops - 1) in
       let p, kinds = Alloc.segment_problem chip ops ~lo ~hi in
       List.iter
-        (fun (bname, backend, pivot_counter) ->
+        (fun (bname, solve, pivot_counter, node_counter) ->
           Metrics.set_enabled true;
           Metrics.reset ();
           let t0 = Unix.gettimeofday () in
           for _ = 1 to reps do
-            ignore (Milp.solve ~gap:5e-3 ~backend p ~kinds)
+            ignore (solve p ~kinds)
           done;
           let wall = (Unix.gettimeofday () -. t0) /. float_of_int reps in
           let per c =
@@ -84,7 +87,7 @@ let run_solver () =
           in
           let pivots = per pivot_counter in
           let refactors = per "solver.simplex.refactorizations" in
-          let nodes = per "solver.bb.nodes" in
+          let nodes = per node_counter in
           Metrics.set_enabled false;
           Metrics.reset ();
           Table.add_row tbl
@@ -93,8 +96,10 @@ let run_solver () =
               Table.cell_f ~digits:1 pivots;
               Table.cell_f ~digits:1 refactors;
               Table.cell_f ~digits:1 nodes ])
-        [ ("revised", Milp.Revised, "solver.simplex.pivots");
-          ("dense", Milp.Dense, "solver.lp_dense.pivots") ])
+        [ ("revised", (fun p ~kinds -> Milp.solve ~gap:5e-3 p ~kinds),
+           "solver.simplex.pivots", "solver.bb.nodes");
+          ("dense", (fun p ~kinds -> Oracle.milp p ~kinds),
+           "solver.lp_dense.pivots", "solver.lp_dense.solves") ])
     solver_windows;
   Table.print tbl
 
@@ -121,8 +126,6 @@ let tests =
         (Staged.stage (fun () -> Cmswitch.compile chip (Lazy.force resnet)));
       Test.make ~name:"lp-simplex/6var"
         (Staged.stage (fun () -> Lp.solve sample_lp));
-      Test.make ~name:"lp-simplex-dense/6var"
-        (Staged.stage (fun () -> Cim_solver.Lp_dense.solve sample_lp));
       Test.make ~name:"shape-infer/resnet18"
         (Staged.stage (fun () -> Cim_nnir.Shape_infer.infer (Lazy.force resnet)));
     ]

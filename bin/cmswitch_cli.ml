@@ -100,7 +100,8 @@ let deadline_arg =
        & info [ "deadline" ] ~docv:"CYCLES"
            ~doc:"Serve a small synthetic request trace against the compiled \
                  schedule, dropping requests whose completion would exceed \
-                 this per-request deadline (in cycles).")
+                 this per-request deadline (in cycles; finite and \
+                 positive).")
 
 (* validated through the same parser as the CMSWITCH_JOBS environment
    override, so 0 / negatives / garbage are rejected with a usage error *)
@@ -521,12 +522,17 @@ let do_compile chip key batch seq kv emit sim sim_check report fault_rate
       Serving.poisson_trace rng ~n:16 ~mean_gap:(2. *. pass)
         ~prompt:(max 1 seq) ~output:4
     in
-    let s = Serving.run ~deadline:d profile reqs in
+    let s =
+      try Fleet.replay ~slo:d ~chip profile reqs
+      with Invalid_argument msg ->
+        Printf.eprintf "fleet run failed: %s\n" msg;
+        exit 1
+    in
     Printf.printf
       "serving (deadline %.3e cycles): %d completed, %d dropped, p95 \
        latency %.3e, %.2f tokens/Mcycle\n"
-      d s.Serving.completed s.Serving.dropped s.Serving.p95_latency
-      s.Serving.tokens_per_megacycle);
+      d s.Fleet.completed s.Fleet.dropped s.Fleet.p95_latency
+      s.Fleet.tokens_per_megacycle);
   finish_common common ~store
 
 let do_compare chip key batch seq kv common =

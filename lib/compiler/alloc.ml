@@ -6,12 +6,10 @@ type options = {
   milp_max_nodes : int;
   refine : bool;
   force_all_compute : bool;
-  lp_backend : Cim_solver.Milp.backend;
 }
 
 let default_options =
-  { milp_max_nodes = 600; refine = true; force_all_compute = false;
-    lp_backend = Cim_solver.Milp.Revised }
+  { milp_max_nodes = 600; refine = true; force_all_compute = false }
 
 let ceil_div = Cim_util.Bytesize.ceil_div
 
@@ -216,8 +214,7 @@ let solve_outcome ?(options = default_options) chip (ops : Opinfo.t array) ~lo ~
     let m, vars, z, _capacity_terms = build ~options chip ops ~lo ~hi ~z_ub in
     Model.maximize m [ (1., z) ];
     match
-      Model.solve ~max_nodes:options.milp_max_nodes ~gap:5e-3
-        ~backend:options.lp_backend m
+      Model.solve ~max_nodes:options.milp_max_nodes ~gap:5e-3 m
     with
     | Model.Infeasible | Model.Unbounded -> Infeasible
     | Model.Truncated None -> Truncated_no_incumbent
@@ -242,8 +239,7 @@ let solve_outcome ?(options = default_options) chip (ops : Opinfo.t array) ~lo ~
           in
           Model.minimize m2 arrays_expr;
           match
-            Model.solve ~max_nodes:options.milp_max_nodes ~gap:5e-3
-              ~backend:options.lp_backend m2
+            Model.solve ~max_nodes:options.milp_max_nodes ~gap:5e-3 m2
           with
           | Model.Optimal _ ->
             let refined = read_plan ops chip m2 vars2 ~lo ~hi in

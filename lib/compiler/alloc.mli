@@ -14,11 +14,6 @@ type options = {
   force_all_compute : bool;
       (** restrict memory-mode variables to zero — this is how the CIM-MLC
           baseline is expressed in the same machinery *)
-  lp_backend : Cim_solver.Milp.backend;
-      (** LP core for the branch-and-bound relaxations: [Revised] (default)
-          is the warm-started bounded-variable revised simplex; [Dense] is
-          the original tableau solver, kept for differential testing and
-          for benchmarking the speedup in the same run *)
 }
 
 (** Solver outcome distinguishing a genuinely infeasible segment from a
@@ -42,8 +37,9 @@ val segment_problem :
   Cim_solver.Lp.problem * Cim_solver.Milp.kind array
 (** The exact MILP {!solve_outcome} hands to the solver for operators
     [lo..hi] (maximise throughput [z]), in computational form. Exposed so
-    the differential suite can replay real segment models against both LP
-    backends and the solver micro-benchmark can time them in isolation. *)
+    the differential suite can replay real segment models against the
+    test-only dense oracle and the solver micro-benchmark can time them in
+    isolation. *)
 
 val solve_outcome :
   ?options:options -> Cim_arch.Chip.t -> Opinfo.t array -> lo:int -> hi:int ->

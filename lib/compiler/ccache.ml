@@ -34,20 +34,10 @@ let faults_canonical = function
       (String.concat ";" (List.map (fun (c, f) -> fault_canonical c f)
                             (Faultmap.faults fm)))
 
-let backend_to_string = function
-  | Cim_solver.Milp.Revised -> "revised"
-  | Cim_solver.Milp.Dense -> "dense"
-
-let backend_of_string = function
-  | "revised" -> Some Cim_solver.Milp.Revised
-  | "dense" -> Some Cim_solver.Milp.Dense
-  | _ -> None
-
 let alloc_canonical (o : Alloc.options) =
   Printf.sprintf
-    "alloc.v1{milp_max_nodes=%d;refine=%b;force_all_compute=%b;lp_backend=%s}"
+    "alloc.v2{milp_max_nodes=%d;refine=%b;force_all_compute=%b}"
     o.Alloc.milp_max_nodes o.Alloc.refine o.Alloc.force_all_compute
-    (backend_to_string o.Alloc.lp_backend)
 
 (* --- per-segment tier ----------------------------------------------------- *)
 

@@ -26,10 +26,6 @@ val faults_canonical : Cim_arch.Faultmap.t option -> string
 
 val alloc_canonical : Alloc.options -> string
 
-val backend_to_string : Cim_solver.Milp.backend -> string
-
-val backend_of_string : string -> Cim_solver.Milp.backend option
-
 (** {2 Per-segment tier} *)
 
 val seg_tier : string

@@ -22,7 +22,6 @@ module Config = struct
     milp_max_nodes : int;
     refine : bool;
     force_all_compute : bool;
-    lp_backend : Cim_solver.Milp.backend;
     buckets : Bucket.t option;
     faults : Faultmap.t option;
     cache : Store.t option;
@@ -37,7 +36,6 @@ module Config = struct
       milp_max_nodes = 600;
       refine = true;
       force_all_compute = false;
-      lp_backend = Cim_solver.Milp.Revised;
       buckets = None;
       faults = None;
       cache = None;
@@ -50,7 +48,6 @@ module Config = struct
   let with_milp_max_nodes v t = { t with milp_max_nodes = v }
   let with_refine v t = { t with refine = v }
   let with_force_all_compute v t = { t with force_all_compute = v }
-  let with_lp_backend v t = { t with lp_backend = v }
   let with_buckets v t = { t with buckets = v }
   let with_faults v t = { t with faults = v }
   let with_cache v t = { t with cache = v }
@@ -61,7 +58,6 @@ module Config = struct
       Alloc.milp_max_nodes = t.milp_max_nodes;
       refine = t.refine;
       force_all_compute = t.force_all_compute;
-      lp_backend = t.lp_backend;
     }
 
   let to_segment_options t =
@@ -80,24 +76,23 @@ module Config = struct
      (plumbing, not semantics). *)
   let canonical t =
     Printf.sprintf
-      "cmswitch.config.v2{partition_fraction=%h;max_segment_ops=%d;memoize=%b;milp_max_nodes=%d;refine=%b;force_all_compute=%b;lp_backend=%s;buckets=%s}"
+      "cmswitch.config.v3{partition_fraction=%h;max_segment_ops=%d;memoize=%b;milp_max_nodes=%d;refine=%b;force_all_compute=%b;buckets=%s}"
       t.partition_fraction t.max_segment_ops t.memoize t.milp_max_nodes
       t.refine t.force_all_compute
-      (Ccache.backend_to_string t.lp_backend)
       (match t.buckets with
       | None -> "none"
       | Some b -> Bucket.canonical b)
 
   let of_canonical s =
     let ( let* ) = Result.bind in
-    let prefix = "cmswitch.config.v2{" in
+    let prefix = "cmswitch.config.v3{" in
     let plen = String.length prefix in
     if
       not
         (String.length s > plen
         && String.sub s 0 plen = prefix
         && s.[String.length s - 1] = '}')
-    then Error "not a cmswitch.config.v2 string"
+    then Error "not a cmswitch.config.v3 string"
     else begin
       let body = String.sub s plen (String.length s - plen - 1) in
       let fields = String.split_on_char ';' body in
@@ -126,9 +121,9 @@ module Config = struct
         | Some b -> Ok b
         | None -> Error (Printf.sprintf "config: bad bool in %s" k)
       in
-      if List.length fields <> 8 then
+      if List.length fields <> 7 then
         Error
-          (Printf.sprintf "config: expected 8 fields, got %d"
+          (Printf.sprintf "config: expected 7 fields, got %d"
              (List.length fields))
       else
         let* partition_fraction = float_field "partition_fraction" in
@@ -137,12 +132,6 @@ module Config = struct
         let* milp_max_nodes = int_field "milp_max_nodes" in
         let* refine = bool_field "refine" in
         let* force_all_compute = bool_field "force_all_compute" in
-        let* backend_s = field "lp_backend" in
-        let* lp_backend =
-          match Ccache.backend_of_string backend_s with
-          | Some b -> Ok b
-          | None -> Error ("config: unknown lp_backend " ^ backend_s)
-        in
         let* buckets_s = field "buckets" in
         let* buckets =
           if buckets_s = "none" then Ok None
@@ -160,7 +149,6 @@ module Config = struct
             milp_max_nodes;
             refine;
             force_all_compute;
-            lp_backend;
             buckets;
             faults = None;
             cache = None;

@@ -24,7 +24,7 @@ val log_src : Logs.src
     pipeline, flattened, plus the fault map and the compilation cache.
     Build with the [with_*] combinators:
     {[Config.default |> Config.with_jobs 4
-                     |> Config.with_lp_backend Cim_solver.Milp.Revised]} *)
+                     |> Config.with_milp_max_nodes 1000]} *)
 module Config : sig
   type t = {
     partition_fraction : float;
@@ -38,7 +38,6 @@ module Config : sig
     milp_max_nodes : int;         (** branch-and-bound node budget (Alloc) *)
     refine : bool;                (** lexicographic array-count refinement *)
     force_all_compute : bool;     (** CIM-MLC restriction *)
-    lp_backend : Cim_solver.Milp.backend;
     buckets : Bucket.t option;
         (** length-bucketing policy for {!compile_model} /
             {!session_step}: sequence workloads compile at their
@@ -52,9 +51,8 @@ module Config : sig
 
   val default : t
   (** partition_fraction 0.5, window 10, memoisation on, MILP node budget
-      600 with refinement, dual-mode search, [Revised] LP backend, no
-      buckets, no faults, no cache. [jobs] defaults to
-      {!Cim_util.Pool.default_jobs}. *)
+      600 with refinement, dual-mode search, no buckets, no faults, no
+      cache. [jobs] defaults to {!Cim_util.Pool.default_jobs}. *)
 
   val with_partition_fraction : float -> t -> t
   val with_max_segment_ops : int -> t -> t
@@ -63,7 +61,6 @@ module Config : sig
   val with_milp_max_nodes : int -> t -> t
   val with_refine : bool -> t -> t
   val with_force_all_compute : bool -> t -> t
-  val with_lp_backend : Cim_solver.Milp.backend -> t -> t
   val with_buckets : Bucket.t option -> t -> t
   val with_faults : Cim_arch.Faultmap.t option -> t -> t
   val with_cache : Cim_cache.Store.t option -> t -> t

@@ -13,8 +13,7 @@ type options = {
 
 let default_options =
   { alloc =
-      { Alloc.milp_max_nodes = 600; refine = true; force_all_compute = false;
-        lp_backend = Cim_solver.Milp.Revised };
+      { Alloc.milp_max_nodes = 600; refine = true; force_all_compute = false };
     max_segment_ops = 10; memoize = true;
     jobs = Pool.default_jobs (); cache = None }
 

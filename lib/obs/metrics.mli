@@ -26,7 +26,7 @@
     family splits by layer: [solver.lp.*] (revised-simplex driver:
     solves, wall_seconds, warm_starts, warm_rejects), [solver.simplex.*]
     (pivot engine: pivots, dual_pivots, bound_flips, bland_fallbacks,
-    refactorizations), [solver.lp_dense.*] (the dense oracle), and
+    refactorizations), [solver.lp_dense.*] (the test-only dense oracle), and
     [solver.bb.*] (branch-and-bound: nodes, warm_hits, rc_tightened,
     lp_iteration_limits, ...). Counters named [*.wall_seconds] hold
     elapsed time and are excluded from cross-run determinism

@@ -269,7 +269,7 @@ let validate_config c =
   if c.chips <= 0 then invalid_arg "Fleet.run: chips must be positive";
   (match c.slo with
   | Some s when not (Float.is_finite s && s > 0.) ->
-    invalid_arg "Fleet.run: slo must be positive"
+    invalid_arg "Fleet.run: slo must be finite and positive"
   | _ -> ());
   if c.shed_output < 0 then invalid_arg "Fleet.run: shed_output must be >= 0";
   if c.max_retries < 0 then invalid_arg "Fleet.run: max_retries must be >= 0";
@@ -855,3 +855,15 @@ let run ?(config = default_config) ?telemetry
       (if !makespan > 0. then float_of_int !tokens /. (!makespan /. 1e6) else 0.);
     per_chip_served = Array.to_list (Array.map (fun c -> c.served) chips);
   }
+
+let replay ?slo ~chip profile requests =
+  let shed_output =
+    List.fold_left
+      (fun m (r : Serving.request) -> max m r.Serving.output)
+      0 requests
+  in
+  run
+    ~config:{ default_config with chips = 1; slo; shed_output; jobs = 1 }
+    ~chip
+    (fun ~chip:_ ~faults:_ -> Some { level = 0; profile })
+    [] requests

@@ -1,10 +1,10 @@
-(** Event-driven multi-chip fleet serving with a runtime failure model.
-
-    {!Serving} replays a trace through one healthy chip; this module grows
-    that into a fleet: [chips] identical chips behind a shared router, a
-    seeded fault {e schedule} delivered mid-run (arrays die, get stuck in
-    one mode, or start failing switches at given cycles), and the runtime
-    policies a production deployment needs to survive it —
+(** Event-driven multi-chip fleet serving with a runtime failure model —
+    the one serving simulator. It drives {!Serving}'s cost profiles with
+    {!Serving}'s request traces through [chips] identical chips behind a
+    shared router, a seeded fault {e schedule} delivered mid-run (arrays
+    die, get stuck in one mode, or start failing switches at given
+    cycles), and the runtime policies a production deployment needs to
+    survive it —
 
     - {b recompile-around-faults}: when a fault lands on a chip, its
       in-flight request is aborted and retried (bounded exponential
@@ -101,7 +101,7 @@ type stats = {
   mean_latency : float;      (** over served (completed + shed) requests *)
   p50_latency : float;
   p95_latency : float;
-  p99_latency : float;       (** nearest-rank, like {!Serving.stats} *)
+  p99_latency : float;       (** nearest-rank, like every percentile here *)
   p999_latency : float;
   mean_ttft : float;
   p50_tpt : float;           (** median time-per-token: nearest-rank over
@@ -149,3 +149,14 @@ val run :
 
     Raises [Invalid_argument] on an invalid config, a malformed request,
     or a fault event naming a chip outside [0, chips). *)
+
+val replay :
+  ?slo:float -> chip:Cim_arch.Chip.t -> Serving.cost_profile ->
+  Serving.request list -> stats
+(** Single-chip FCFS replay: {!run} with one chip serving [profile], no
+    faults, [jobs = 1], and a shed tier as long as the longest output in
+    the trace. Shedding then saves nothing, so under an [slo] a request
+    whose predicted completion would exceed arrival + [slo] is dropped at
+    arrival and never occupies the chip; [shed] is always 0. Raises
+    [Invalid_argument] like {!run}, including on a non-finite or
+    non-positive [slo]. *)

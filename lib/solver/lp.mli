@@ -4,8 +4,8 @@
     per-variable bounds. Lower bounds must be finite (every CMSwitch model
     has natural 0 lower bounds); upper bounds may be [infinity].
 
-    Unlike the dense tableau solver this replaces (kept as {!Lp_dense} to
-    serve as a differential oracle), variable bounds are handled implicitly
+    Unlike the dense tableau solver this replaces (kept in the test-only
+    oracle library as a differential reference), variable bounds are handled implicitly
     through nonbasic-at-lower/at-upper statuses — no synthetic bound rows —
     so the working basis stays at one row per constraint. The basis inverse
     is maintained in product form and refactorized periodically

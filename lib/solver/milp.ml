@@ -1,5 +1,4 @@
 type kind = Continuous | Integer
-type backend = Revised | Dense
 
 type result =
   | Optimal of Lp.solution
@@ -133,20 +132,17 @@ let rc_tighten ~kinds ~basis ~reduced ~root_obj ~incumbent_obj lower upper =
           | Lp.Nonbasic_lower | Lp.Nonbasic_upper -> ())
       reduced
 
-let solve ?(eps = 1e-6) ?(max_nodes = 100_000) ?(gap = 1e-6)
-    ?(backend = Revised) ?max_lp_iters (p : Lp.problem) ~kinds =
+let solve ?(eps = 1e-6) ?(max_nodes = 100_000) ?(gap = 1e-6) ?max_lp_iters
+    (p : Lp.problem) ~kinds =
   if Array.length kinds <> p.Lp.n_vars then
     raise (Lp.Ill_formed "Milp.solve: kinds length mismatch");
   (* validate once at the root; every node re-solve below skips the scan *)
   Lp.check p;
   (* the rows never change down the tree — convert to computational form
      once and re-solve under each node's bound box *)
-  let prep = match backend with Revised -> Some (Lp.prepare p) | Dense -> None in
+  let prep = Lp.prepare p in
   let relax ?warm (lower, upper) =
-    match prep with
-    | Some q -> Lp.solve_prepared ?max_iters:max_lp_iters ?warm q ~lower ~upper
-    | None ->
-      (Lp_dense.solve ?max_iters:max_lp_iters { p with Lp.lower; upper }, None)
+    Lp.solve_prepared ?max_iters:max_lp_iters ?warm prep ~lower ~upper
   in
   let incumbent = ref None in
   let better (s : Lp.solution) =
@@ -229,9 +225,9 @@ let solve ?(eps = 1e-6) ?(max_nodes = 100_000) ?(gap = 1e-6)
                   incumbent := Some (round_integral ~eps kinds s)
                 | Some _ | None -> ());
                 (* shrink the root box with reduced costs before branching *)
-                match (prep, basis, !incumbent) with
-                | Some q, Some b, Some (i : Lp.solution) ->
-                  let reduced = Lp.reduced_costs q b in
+                match (basis, !incumbent) with
+                | Some b, Some (i : Lp.solution) ->
+                  let reduced = Lp.reduced_costs prep b in
                   let lower = Array.copy lower and upper = Array.copy upper in
                   rc_tighten ~kinds ~basis:b ~reduced
                     ~root_obj:sol.Lp.objective ~incumbent_obj:i.Lp.objective

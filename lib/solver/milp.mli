@@ -4,8 +4,7 @@
 
     Each child node differs from its parent by one tightened variable
     bound, so the parent's optimal basis stays dual-feasible for the child:
-    with the default [Revised] backend every non-root node re-solve is
-    warm-started from its parent's basis snapshot and repaired by a few
+    every non-root node re-solve is warm-started from its parent's basis snapshot and repaired by a few
     dual-simplex pivots instead of a from-scratch solve
     ([solver.bb.warm_hits] counts them). Each stack entry also records
     its parent's LP objective — a bound on the whole subtree — so nodes
@@ -20,12 +19,6 @@
 
 type kind = Continuous | Integer
 
-type backend =
-  | Revised  (** bounded-variable revised simplex ({!Lp}), warm-started *)
-  | Dense
-      (** dense tableau oracle ({!Lp_dense}); every node solves cold.
-          Same branch-and-bound, so benches isolate the LP-core cost. *)
-
 type result =
   | Optimal of Lp.solution
   | Infeasible
@@ -35,9 +28,8 @@ type result =
           [Iteration_limit]; carries the incumbent if one was found. *)
 
 val solve :
-  ?eps:float -> ?max_nodes:int -> ?gap:float -> ?backend:backend ->
-  ?max_lp_iters:int -> Lp.problem -> kinds:kind array ->
-  result
+  ?eps:float -> ?max_nodes:int -> ?gap:float -> ?max_lp_iters:int ->
+  Lp.problem -> kinds:kind array -> result
 (** [eps] is the integrality tolerance (default 1e-6); [max_nodes] bounds
     the branch-and-bound tree (default 100_000); [gap] is the relative
     optimality gap below which branches are pruned (default 1e-6);

@@ -32,18 +32,16 @@ type outcome =
       (** node or iteration budget exhausted; carries the incumbent
           objective when an integral solution was found in time *)
 
-val solve : ?max_nodes:int -> ?gap:float -> ?backend:Milp.backend -> t -> outcome
-(** [backend] (default [Milp.Revised]) picks the LP core: the
-    bounded-variable revised simplex with warm-started branch-and-bound
-    re-solves, or the dense tableau oracle ({!Lp_dense}) for differential
-    testing and benchmarking. Pure-LP models (no integer variable) are
-    validated and solved directly. *)
+val solve : ?max_nodes:int -> ?gap:float -> t -> outcome
+(** Models with an integer variable go to {!Milp.solve}; pure-LP models
+    are validated and solved directly by {!Lp.solve}. *)
 
 val to_problem : t -> Lp.problem * Milp.kind array
 (** The assembled computational form: dense objective/rows (minimisation
     is negated into maximisation) plus the per-variable integrality kinds,
     in variable-creation order. Exposed so differential tests and solver
-    benchmarks can replay the exact segment MILPs against both backends. *)
+    benchmarks can replay the exact segment MILPs against the test-only
+    dense oracle. *)
 
 val value : t -> var -> float
 (** Value in the last [Optimal]/[Truncated-with-incumbent] solution.

@@ -4,7 +4,7 @@
    over artificial variables, phase 2 over the real objective; Bland's
    rule throughout. *)
 
-open Lp
+open Cim_solver.Lp
 
 let m_solves = Cim_obs.Metrics.counter "solver.lp_dense.solves"
 let m_pivots = Cim_obs.Metrics.counter "solver.lp_dense.pivots"

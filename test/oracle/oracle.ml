@@ -292,3 +292,134 @@ let embedding ids w =
   | _ -> invalid_arg "Oracle.embedding: weight not [vocab;d]"
 
 let rand rng shape ~lo ~hi = Tensor.init shape (fun _ -> lo +. Cim_util.Rng.float rng (hi -. lo))
+
+(* ---- cold branch and bound over the dense tableau ----------------------- *)
+
+module Lp_dense = Lp_dense
+module Lp = Cim_solver.Lp
+module Milp = Cim_solver.Milp
+
+let milp ?(eps = 1e-6) ?(max_nodes = 100_000) (p : Lp.problem) ~kinds =
+  let incumbent = ref None in
+  let nodes = ref 0 and truncated = ref false and unbounded = ref false in
+  let first_fractional (values : float array) =
+    let rec go j =
+      if j >= Array.length kinds then None
+      else
+        match kinds.(j) with
+        | Milp.Integer when Float.abs (values.(j) -. Float.round values.(j)) > eps ->
+          Some j
+        | Milp.Integer | Milp.Continuous -> go (j + 1)
+    in
+    go 0
+  in
+  let rec node lower upper =
+    if !nodes >= max_nodes then truncated := true
+    else begin
+      incr nodes;
+      match Lp_dense.solve { p with Lp.lower; upper } with
+      | Lp.Iteration_limit -> truncated := true
+      | Lp.Infeasible -> ()
+      | Lp.Unbounded -> if !nodes = 1 then unbounded := true
+      | Lp.Optimal s -> (
+        let improves =
+          match !incumbent with
+          | None -> true
+          | Some (i : Lp.solution) -> s.Lp.objective > i.Lp.objective +. 1e-9
+        in
+        if improves then
+          match first_fractional s.Lp.values with
+          | None -> incumbent := Some s
+          | Some j ->
+            let fl = Float.floor s.Lp.values.(j) in
+            if fl >= lower.(j) then begin
+              let upper' = Array.copy upper in
+              upper'.(j) <- fl;
+              node lower upper'
+            end;
+            if fl +. 1. <= upper.(j) && not !truncated then begin
+              let lower' = Array.copy lower in
+              lower'.(j) <- fl +. 1.;
+              node lower' upper
+            end)
+    end
+  in
+  node p.Lp.lower p.Lp.upper;
+  if !unbounded then Milp.Unbounded
+  else if !truncated then Milp.Node_limit !incumbent
+  else match !incumbent with None -> Milp.Infeasible | Some s -> Milp.Optimal s
+
+(* ---- single-chip FCFS serving ------------------------------------------- *)
+
+module Serving = Cim_sim.Serving
+
+type fcfs_stats = {
+  completed : int;
+  dropped : int;
+  makespan : float;
+  mean_latency : float;
+  p95_latency : float;
+  p99_latency : float;
+  mean_ttft : float;
+  p50_tpt : float;
+  p95_tpt : float;
+  p99_tpt : float;
+  tokens : int;
+  tokens_per_megacycle : float;
+}
+
+let fcfs ?deadline (profile : Serving.cost_profile) requests =
+  (match deadline with
+  | Some d when d <= 0. -> invalid_arg "Oracle.fcfs: deadline must be positive"
+  | _ -> ());
+  let requests =
+    List.sort (fun (a : Serving.request) b -> compare a.arrival b.arrival) requests
+  in
+  let now = ref 0. in
+  let latencies = ref [] and ttfts = ref [] and tpts = ref [] in
+  let tokens = ref 0 in
+  let completed = ref 0 and dropped = ref 0 in
+  List.iter
+    (fun (r : Serving.request) ->
+      if r.prompt <= 0 || r.output < 0 then
+        invalid_arg "Oracle.fcfs: malformed request";
+      let start = Float.max !now r.arrival in
+      let after_prefill = start +. profile.prefill_cycles r.prompt in
+      let finish = ref after_prefill in
+      for t = 0 to r.output - 1 do
+        finish := !finish +. profile.decode_cycles (r.prompt + t)
+      done;
+      (* a request that cannot finish within its deadline is dropped on
+         arrival and does not occupy the chip *)
+      match deadline with
+      | Some d when !finish -. r.arrival > d -> incr dropped
+      | _ ->
+        incr completed;
+        ttfts := (after_prefill -. r.arrival) :: !ttfts;
+        for t = 0 to r.output - 1 do
+          tpts := profile.decode_cycles (r.prompt + t) :: !tpts
+        done;
+        now := !finish;
+        tokens := !tokens + r.output + 1;
+        latencies := (!finish -. r.arrival) :: !latencies)
+    requests;
+  let pct p = function
+    | [] -> 0.
+    | l -> Cim_util.Stats.percentile_nearest_rank p l
+  in
+  let mean = function [] -> 0. | l -> Cim_util.Stats.mean l in
+  {
+    completed = !completed;
+    dropped = !dropped;
+    makespan = !now;
+    mean_latency = mean !latencies;
+    p95_latency = pct 95. !latencies;
+    p99_latency = pct 99. !latencies;
+    mean_ttft = mean !ttfts;
+    p50_tpt = pct 50. !tpts;
+    p95_tpt = pct 95. !tpts;
+    p99_tpt = pct 99. !tpts;
+    tokens = !tokens;
+    tokens_per_megacycle =
+      (if !now > 0. then float_of_int !tokens /. (!now /. 1e6) else 0.);
+  }

@@ -1,8 +1,16 @@
-(** The naive seed kernels, kept as the differential oracle for
-    {!Cim_tensor.Kernels}: safe accesses, textbook loop order. The runtime
-    {!Cim_tensor.Ops} and {!Cim_tensor.Quant} must reproduce every result
-    here bit for bit (identical float bits, exactly equal int8 values and
-    scales). Test-only: nothing under [lib/] links this library. *)
+(** Reference implementations the tests check the runtime against.
+    Test-only: nothing under [lib/] links this library.
+
+    - The naive seed kernels, the differential oracle for
+      {!Cim_tensor.Kernels}: safe accesses, textbook loop order. The
+      runtime {!Cim_tensor.Ops} and {!Cim_tensor.Quant} must reproduce
+      every result here bit for bit (identical float bits, exactly equal
+      int8 values and scales).
+    - The dense tableau simplex ({!Lp_dense}) and a plain branch and bound
+      over it ({!milp}), the references for {!Cim_solver.Lp} and
+      {!Cim_solver.Milp}.
+    - The single-chip FCFS serving loop ({!fcfs}), the reference for a
+      one-chip {!Cim_sim.Fleet.run}. *)
 
 open Cim_tensor
 
@@ -65,3 +73,49 @@ val embedding : Tensor.t -> Tensor.t -> Tensor.t
 (** ids (any shape) x [[vocab; d]] -> ids shape @ [[d]]. *)
 
 val rand : Cim_util.Rng.t -> Shape.t -> lo:float -> hi:float -> Tensor.t
+
+(** {2 Solver references} *)
+
+module Lp_dense = Lp_dense
+
+val milp :
+  ?eps:float -> ?max_nodes:int -> Cim_solver.Lp.problem ->
+  kinds:Cim_solver.Milp.kind array -> Cim_solver.Milp.result
+(** Cold depth-first branch and bound: every node solved from scratch by
+    {!Lp_dense}, branching on the first integer variable whose value is
+    more than [eps] (default 1e-6) from an integer, down branch first. A
+    node is pruned only when its relaxation does not beat the incumbent by
+    more than 1e-9 — no rounding heuristic, warm start, bound skip or
+    reduced-cost tightening, so it checks {!Cim_solver.Milp.solve} at
+    [~gap:0.] with none of its shortcuts. [max_nodes] (default 100_000)
+    truncates to [Node_limit]. Maximisation. *)
+
+(** {2 Serving reference} *)
+
+type fcfs_stats = {
+  completed : int;
+  dropped : int;               (** requests rejected by deadline admission *)
+  makespan : float;            (** cycles until the last request finishes *)
+  mean_latency : float;        (** request arrival -> completion, cycles *)
+  p95_latency : float;         (** nearest-rank *)
+  p99_latency : float;
+  mean_ttft : float;           (** time to first token, cycles *)
+  p50_tpt : float;             (** nearest-rank time-per-token over every
+                                   decode step of every admitted request *)
+  p95_tpt : float;
+  p99_tpt : float;
+  tokens : int;
+  tokens_per_megacycle : float;
+}
+(** Every statistic is 0 over an empty set of admitted requests. *)
+
+val fcfs :
+  ?deadline:float -> Cim_sim.Serving.cost_profile ->
+  Cim_sim.Serving.request list -> fcfs_stats
+(** One healthy chip, FCFS in arrival order, no batching: each request
+    runs prefill then its decode steps with a growing KV length, each step
+    added to the clock in turn. With a [deadline] (cycles, must be
+    positive), a request whose predicted completion would exceed
+    arrival + deadline is dropped on arrival and does not occupy the chip.
+    Raises [Invalid_argument] on a malformed request (non-positive prompt
+    or negative output). *)

@@ -227,8 +227,9 @@ let milp_vs_oracle =
 (* ---- revised simplex vs the dense oracle --------------------------------- *)
 
 module Lp = Cim_solver.Lp
-module Lp_dense = Cim_solver.Lp_dense
 module Milp = Cim_solver.Milp
+module Oracle = Cim_oracle.Oracle
+module Lp_dense = Oracle.Lp_dense
 
 let show_lp_result = function
   | Lp.Optimal s -> Printf.sprintf "Optimal %.9g" s.Lp.objective
@@ -275,20 +276,20 @@ let compare_backends name (p : Lp.problem) =
 
 (* The same 220 random segment models, replayed at LP granularity: the
    revised simplex must agree with the dense oracle on the root relaxation
-   (objective to 1e-6, returned vertex feasible) and, at gap 0, the two
-   branch-and-bound backends must find integral optima of equal value. *)
+   (objective to 1e-6, returned vertex feasible) and, at gap 0, the
+   warm-started branch and bound must find the integral optimum value of a
+   plain cold one over the dense oracle (Oracle.milp). *)
 let check_segment_lp inst =
   let chip = chip_of inst in
   let ops = ops_of inst in
   let hi = Array.length ops - 1 in
   let p, kinds = Alloc.segment_problem chip ops ~lo:0 ~hi in
   ignore (compare_backends "segment relaxation" p);
-  let milp backend = Milp.solve ~gap:0. ~backend p ~kinds in
-  match (milp Milp.Revised, milp Milp.Dense) with
+  match (Milp.solve ~gap:0. p ~kinds, Oracle.milp p ~kinds) with
   | Milp.Optimal r, Milp.Optimal d ->
     let tol = 1e-6 *. (1. +. Float.abs d.Lp.objective) in
     if Float.abs (r.Lp.objective -. d.Lp.objective) > tol then
-      QCheck.Test.fail_reportf "segment MILP: revised %.17g, dense %.17g"
+      QCheck.Test.fail_reportf "segment MILP: revised %.17g, cold dense B&B %.17g"
         r.Lp.objective d.Lp.objective;
     vertex_feasible p r
     || QCheck.Test.fail_reportf "segment MILP: revised vertex infeasible"
@@ -300,7 +301,8 @@ let check_segment_lp inst =
       | Milp.Unbounded -> "Unbounded"
       | Milp.Node_limit _ -> "Node_limit"
     in
-    QCheck.Test.fail_reportf "segment MILP: revised says %s, dense says %s"
+    QCheck.Test.fail_reportf
+      "segment MILP: revised says %s, cold dense B&B says %s"
       (show r) (show d)
 
 let segment_lp_differential =
@@ -392,6 +394,95 @@ let degenerate_lp_differential =
        (QCheck.make ~print:print_lp_spec gen_lp_spec)
        (fun spec -> compare_backends "boxed LP" (lp_of_spec spec)))
 
+(* ---- one-chip fleet vs the FCFS serving oracle --------------------------- *)
+
+module Serving = Cim_sim.Serving
+module Fleet = Cim_sim.Fleet
+
+(* a random trace (ties included, idle gaps included), a fractional affine
+   cost profile, and half the time a deadline tight enough to drop *)
+type serve_case = {
+  reqs : Serving.request list;
+  prefill : float * float;  (* a + b * prompt *)
+  decode : float * float;   (* c + d * kv *)
+  deadline : float option;
+}
+
+let profile_of case =
+  let a, b = case.prefill and c, d = case.decode in
+  { Serving.prefill_cycles = (fun s -> a +. (b *. float_of_int s));
+    decode_cycles = (fun kv -> c +. (d *. float_of_int kv)) }
+
+let gen_serve_case =
+  let open QCheck.Gen in
+  let frac lo hi = map (fun i -> float_of_int i /. 7.) (int_range lo hi) in
+  let* n = int_range 0 12 in
+  let* shapes =
+    list_repeat n
+      (triple
+         (frequency [ (1, return 0.); (3, frac 1 2800) ])
+         (int_range 1 64) (int_range 0 39))
+  in
+  let reqs =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (t, acc) (gap, prompt, output) ->
+              let t = t +. gap in
+              (t, { Serving.arrival = t; prompt; output } :: acc))
+            (0., []) shapes))
+  in
+  let* prefill = pair (frac 1 140) (frac 0 14) in
+  let* decode = pair (frac 1 35) (frac 0 3) in
+  let* deadline = opt ~ratio:0.5 (frac 7 21000) in
+  return { reqs; prefill; decode; deadline }
+
+let print_serve_case case =
+  Printf.sprintf "prefill %h+%h*s decode %h+%h*kv deadline %s reqs [%s]"
+    (fst case.prefill) (snd case.prefill) (fst case.decode) (snd case.decode)
+    (match case.deadline with None -> "none" | Some d -> Printf.sprintf "%h" d)
+    (String.concat "; "
+       (List.map
+          (fun (r : Serving.request) ->
+            Printf.sprintf "%h:%d/%d" r.arrival r.prompt r.output)
+          case.reqs))
+
+(* counts and tokens exactly; every float within 1e-9 relative, the gap
+   being float addition order (Fleet sums prefill + decode steps before
+   adding them to the clock, the oracle adds each step in turn) *)
+let check_fleet_fcfs case =
+  let profile = profile_of case in
+  let f = Fleet.replay ?slo:case.deadline ~chip:Cim_arch.Config.dynaplasia profile case.reqs in
+  let o = Oracle.fcfs ?deadline:case.deadline profile case.reqs in
+  let int name a b =
+    if a <> b then QCheck.Test.fail_reportf "%s: fleet %d, oracle %d" name a b
+  in
+  let float name a b =
+    if Float.abs (a -. b) > 1e-9 *. Float.max 1. (Float.abs b) then
+      QCheck.Test.fail_reportf "%s: fleet %.17g, oracle %.17g" name a b
+  in
+  int "completed" f.Fleet.completed o.Oracle.completed;
+  int "dropped" f.Fleet.dropped o.Oracle.dropped;
+  int "shed" f.Fleet.shed 0;
+  int "tokens" f.Fleet.tokens o.Oracle.tokens;
+  float "makespan" f.Fleet.makespan o.Oracle.makespan;
+  float "mean latency" f.Fleet.mean_latency o.Oracle.mean_latency;
+  float "p95 latency" f.Fleet.p95_latency o.Oracle.p95_latency;
+  float "p99 latency" f.Fleet.p99_latency o.Oracle.p99_latency;
+  float "mean ttft" f.Fleet.mean_ttft o.Oracle.mean_ttft;
+  float "p50 tpt" f.Fleet.p50_tpt o.Oracle.p50_tpt;
+  float "p95 tpt" f.Fleet.p95_tpt o.Oracle.p95_tpt;
+  float "p99 tpt" f.Fleet.p99_tpt o.Oracle.p99_tpt;
+  float "tokens/Mcycle" f.Fleet.tokens_per_megacycle o.Oracle.tokens_per_megacycle;
+  true
+
+let fleet_fcfs_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"one-chip fleet matches the FCFS serving oracle"
+       ~count:600
+       (QCheck.make ~print:print_serve_case gen_serve_case)
+       check_fleet_fcfs)
+
 (* A couple of pinned instances covering the interesting branches, so a
    regression reproduces without a QCheck seed. *)
 let test_pinned () =
@@ -422,4 +513,5 @@ let suite =
     [ milp_vs_oracle;
       segment_lp_differential;
       degenerate_lp_differential;
-      Alcotest.test_case "pinned instances" `Quick test_pinned ] )
+      Alcotest.test_case "pinned instances" `Quick test_pinned;
+      fleet_fcfs_differential ] )

@@ -18,6 +18,7 @@ module Machine = Cim_sim.Machine
 module Functional = Cim_sim.Functional
 module Timing = Cim_sim.Timing
 module Serving = Cim_sim.Serving
+module Fleet = Cim_sim.Fleet
 module Tensor = Cim_tensor.Tensor
 module Shape = Cim_tensor.Shape
 module Rng = Cim_util.Rng
@@ -447,17 +448,17 @@ let test_check_faults () =
   Alcotest.(check bool) "stuck array switch rejected" false
     (Check.is_valid (Check.run chip ~faults:fm switch_stuck))
 
-(* --- serving under deadlines --- *)
+(* --- serving under deadlines: single-chip replay through Fleet --- *)
 
 let profile =
   { Serving.prefill_cycles = (fun _ -> 10.); decode_cycles = (fun _ -> 1.) }
 
 let test_serving_empty_trace () =
-  let s = Serving.run profile [] in
-  Alcotest.(check int) "nothing completed" 0 s.Serving.completed;
-  Alcotest.(check int) "nothing dropped" 0 s.Serving.dropped;
-  Alcotest.(check (float 0.)) "zero makespan" 0. s.Serving.makespan;
-  Alcotest.(check (float 0.)) "zero p95" 0. s.Serving.p95_latency
+  let s = Fleet.replay ~chip profile [] in
+  Alcotest.(check int) "nothing completed" 0 s.Fleet.completed;
+  Alcotest.(check int) "nothing dropped" 0 s.Fleet.dropped;
+  Alcotest.(check (float 0.)) "zero makespan" 0. s.Fleet.makespan;
+  Alcotest.(check (float 0.)) "zero p95" 0. s.Fleet.p95_latency
 
 let test_serving_deadline_drops () =
   let trace =
@@ -465,19 +466,19 @@ let test_serving_deadline_drops () =
       { Serving.arrival = 0.; prompt = 4; output = 5 } ]
   in
   (* each request costs 15 cycles; FCFS queues the second to finish at 30 *)
-  let s = Serving.run ~deadline:20. profile trace in
-  Alcotest.(check int) "first completes" 1 s.Serving.completed;
-  Alcotest.(check int) "queued one dropped" 1 s.Serving.dropped;
-  Alcotest.(check (float 1e-9)) "drop frees the chip" 15. s.Serving.makespan;
+  let s = Fleet.replay ~slo:20. ~chip profile trace in
+  Alcotest.(check int) "first completes" 1 s.Fleet.completed;
+  Alcotest.(check int) "queued one dropped" 1 s.Fleet.dropped;
+  Alcotest.(check (float 1e-9)) "drop frees the chip" 15. s.Fleet.makespan;
   (* with a generous deadline both complete *)
-  let s2 = Serving.run ~deadline:100. profile trace in
-  Alcotest.(check int) "no drops under slack" 2 s2.Serving.completed;
-  Alcotest.(check int) "dropped zero" 0 s2.Serving.dropped;
+  let s2 = Fleet.replay ~slo:100. ~chip profile trace in
+  Alcotest.(check int) "no drops under slack" 2 s2.Fleet.completed;
+  Alcotest.(check int) "dropped zero" 0 s2.Fleet.dropped;
   (* dropping everything still returns zeroed stats, not an exception *)
-  let s3 = Serving.run ~deadline:1. profile trace in
-  Alcotest.(check int) "all dropped" 2 s3.Serving.dropped;
-  Alcotest.(check int) "none completed" 0 s3.Serving.completed;
-  Alcotest.(check (float 0.)) "stats zeroed" 0. s3.Serving.mean_latency
+  let s3 = Fleet.replay ~slo:1. ~chip profile trace in
+  Alcotest.(check int) "all dropped" 2 s3.Fleet.dropped;
+  Alcotest.(check int) "none completed" 0 s3.Fleet.completed;
+  Alcotest.(check (float 0.)) "stats zeroed" 0. s3.Fleet.mean_latency
 
 let test_serving_small_trace_p95 () =
   (* latencies 11, 12, 13: nearest-rank p95 on 3 samples is the maximum,
@@ -487,10 +488,10 @@ let test_serving_small_trace_p95 () =
       { Serving.arrival = 100.; prompt = 4; output = 2 };
       { Serving.arrival = 200.; prompt = 4; output = 3 } ]
   in
-  let s = Serving.run profile trace in
+  let s = Fleet.replay ~chip profile trace in
   Alcotest.(check (float 1e-9)) "p95 is the worst observation" 13.
-    s.Serving.p95_latency;
-  Alcotest.(check int) "all completed" 3 s.Serving.completed
+    s.Fleet.p95_latency;
+  Alcotest.(check int) "all completed" 3 s.Fleet.completed
 
 (* --- satellite regressions: interpolate, transient band, apply/diff --- *)
 
@@ -625,8 +626,6 @@ let test_recompile_all_dead () =
       (report.Degrade.diagnostics <> [])
 
 (* --- fleet serving --- *)
-
-module Fleet = Cim_sim.Fleet
 
 let test_fleet_schedule_codec () =
   let evs =
